@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check crash smoke snippets-smoke xlate-smoke service-race serve-smoke fleet-chaos bench bench-smoke clean
+.PHONY: all build test race vet check crash smoke subsets-smoke snippets-smoke xlate-smoke service-race serve-smoke fleet-chaos bench bench-smoke clean
 
 all: build
 
@@ -32,6 +32,20 @@ smoke:
 	$(GO) run ./cmd/characterize -scale tiny -fig 3c -state-dir .smoke/state -resume > .smoke/run2.out 2> .smoke/run2.err
 	cmp .smoke/run1.out .smoke/run2.out
 	rm -rf .smoke
+
+# subsets-smoke is the subset-selection golden gate: regenerate every
+# subsets report at tiny scale and require it byte-identical to the
+# committed results/subsets_tiny.txt. Selection is deterministic, so any
+# change to projection, clustering, tie-breaks or BIC choice that moves
+# a selected interval, a ratio or an error fails it. Progress goes to
+# stderr; only the report is compared. A deliberate change to selection
+# regenerates the file with the same command and commits it.
+subsets-smoke:
+	rm -rf .subsets-smoke
+	mkdir -p .subsets-smoke
+	$(GO) run ./cmd/subsets -scale tiny -fig all > .subsets-smoke/subsets_tiny.txt 2> .subsets-smoke/run.err
+	cmp results/subsets_tiny.txt .subsets-smoke/subsets_tiny.txt
+	rm -rf .subsets-smoke
 
 # snippets-smoke is the parallel-replay equivalence gate on the real
 # harness: simulate one application's selected subset twice — serially
@@ -97,9 +111,9 @@ fleet-chaos:
 # check is the CI gate: static analysis, a full build, the service suite
 # then the full test suite under the race detector (the chaos and
 # crash-recovery suites must never panic or deadlock under -race), the
-# distributed-fleet chaos matrix, the resume smoke test, and the daemon
-# smoke test.
-check: vet build service-race race fleet-chaos crash smoke snippets-smoke xlate-smoke serve-smoke
+# distributed-fleet chaos matrix, the resume smoke test, the subsets
+# golden gate, and the daemon smoke test.
+check: vet build service-race race fleet-chaos crash smoke subsets-smoke snippets-smoke xlate-smoke serve-smoke
 
 # bench runs the Go benchmark suites (instrumentation rewrite,
 # interpreters, end-to-end sweep) and then the benchmark-regression
@@ -132,10 +146,13 @@ bench:
 # instead of silently skipping the comparison — and a tiny traced sweep
 # whose -trace/-metrics artifacts are schema-validated by cmd/obscheck.
 # The engine line carries the predecode differential fuzz (threaded-code
-# loops vs the reference interpreter) under the race detector.
+# loops vs the reference interpreter) under the race detector; the
+# simpoint line does the same for k-means (shared-work, cycle-skipping
+# clustering vs the reference Lloyd loop, seed corpus included).
 bench-smoke:
 	$(GO) test -race -run 'SurfaceBoundary|RingEntries|ImmediateBoundary|CachedRewrite|CacheKey|ByteFieldTruncation|HostileNames|ByteIdentical|Cache|Speedup' ./internal/gtpin ./internal/jit ./internal/export ./internal/workloads ./cmd/bench
 	$(GO) test -race -short -run 'Differential|Predecode|WatchdogParity|Probe|BackendsContainNoDispatch' ./internal/engine
+	$(GO) test -race -short -run 'MatchesReference|ReseedCycle' ./internal/simpoint
 	$(GO) test -race ./internal/obs/...
 	$(GO) test -bench=. -benchtime=1x -benchmem -run '^$$' ./...
 	$(GO) run ./cmd/bench -scale tiny -trials 3 -overhead-reps 3 -max-obs-overhead 1.05 -obs-overhead-warn -min-detsim-ratio 0.9 -require-detsim-prior -out BENCH_sweep.json
@@ -147,4 +164,4 @@ bench-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .smoke .obs-smoke .serve-smoke .snippets-smoke .xlate-smoke
+	rm -rf .smoke .obs-smoke .serve-smoke .subsets-smoke .snippets-smoke .xlate-smoke

@@ -8,9 +8,12 @@
 // The package also implements the paper's two meta-level optimizations:
 // choosing the error-minimizing interval/feature configuration per
 // application (Section V-C, Figure 6), and jointly optimizing error and
-// selection size under an error threshold (Section V-D, Figure 7). Both
-// searches come nearly for free because one native profiling run provides
-// the data for all 30 interval/feature combinations.
+// selection size under an error threshold (Section V-D, Figure 7). One
+// native profiling run provides the data for all 30 interval/feature
+// combinations, so the searches need no further profiling. They are not
+// free, though: each runs SimPoint 30 times per application, and in the
+// repository benchmark that clustering costs about as much wall time as
+// simulating the chosen subsets in detail (docs/performance.md).
 package selection
 
 import (

@@ -14,10 +14,11 @@
 package simpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gtpin/internal/features"
 )
@@ -121,15 +122,17 @@ func Run(vecs []features.Vector, weights []float64, cfg Config) (*Result, error)
 	if maxSample <= 0 {
 		maxSample = 3000
 	}
-	kpts, kweights := pts, weights
+	all := newPointSet(pts)
+	kset, kweights := all, weights
 	if n > maxSample {
 		idx := sampleIndices(weights, maxSample, rng)
-		kpts = make([][]float64, len(idx))
+		kpts := make([][]float64, len(idx))
 		kweights = make([]float64, len(idx))
 		for i, j := range idx {
 			kpts[i] = pts[j]
 			kweights[i] = weights[j]
 		}
+		kset = newPointSet(kpts)
 	}
 
 	type candidate struct {
@@ -141,11 +144,11 @@ func Run(vecs []features.Vector, weights []float64, cfg Config) (*Result, error)
 	for k := 1; k <= maxK; k++ {
 		best := candidate{bic: math.Inf(-1)}
 		for r := 0; r < cfg.Restarts; r++ {
-			_, centers := kmeans(kpts, kweights, k, cfg.MaxIters, rng)
-			assign := assignAll(pts, centers)
-			b := bic(pts, weights, assign, centers, totalW)
+			centers, _ := kmeans(kset, kweights, k, cfg.MaxIters, rng)
+			near := all.nearest(centers)
+			b := bic(all, weights, near, centers, totalW)
 			if b > best.bic {
-				best = candidate{assign: assign, centers: centers, bic: b}
+				best = candidate{assign: all.expand(near), centers: centers, bic: b}
 			}
 		}
 		cands[k-1] = best
@@ -223,7 +226,7 @@ func Project(vecs []features.Vector, dims int) [][]float64 {
 		for key := range v {
 			keys = append(keys, key)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+		slices.Sort(keys)
 		norm := 0.0
 		for _, key := range keys {
 			norm += v[key]
@@ -254,21 +257,6 @@ func direction(key uint64, j int) float64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return float64(x>>11)/float64(1<<53)*2 - 1
-}
-
-// assignAll maps every point to its nearest center.
-func assignAll(pts [][]float64, centers [][]float64) []int {
-	assign := make([]int, len(pts))
-	for i, p := range pts {
-		best, bestD := 0, math.Inf(1)
-		for c := range centers {
-			if d := sqDist(p, centers[c]); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		assign[i] = best
-	}
-	return assign
 }
 
 // sampleIndices draws m distinct interval indices with probability
@@ -312,38 +300,148 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// kmeans runs weighted Lloyd's algorithm with k-means++ seeding.
-func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand) ([]int, [][]float64) {
-	n := len(pts)
-	dims := len(pts[0])
-	centers := seedPlusPlus(pts, weights, k, rng)
-	assign := make([]int, n)
+// pointSet is a list of points with the bitwise-identical ones grouped.
+// Work that depends only on a point's coordinates — its nearest center,
+// its distance to a center — is done once per distinct point and shared
+// by every member, while every floating-point sum still runs over all
+// points in index order. Grouping is by bit pattern, never within a
+// tolerance, so it cannot change a result; it pays because interval
+// feature vectors repeat heavily (a phase's intervals often project to
+// one point).
+type pointSet struct {
+	pts      [][]float64 // every point, in input order
+	distinct [][]float64 // the distinct points, in order of first occurrence
+	group    []int       // group[i] indexes pts[i] in distinct
+}
+
+func newPointSet(pts [][]float64) *pointSet {
+	ps := &pointSet{pts: pts, group: make([]int, len(pts))}
+	index := make(map[string]int)
+	var key []byte
+	for i, p := range pts {
+		key = key[:0]
+		for _, x := range p {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		u, ok := index[string(key)]
+		if !ok {
+			u = len(ps.distinct)
+			index[string(key)] = u
+			ps.distinct = append(ps.distinct, p)
+		}
+		ps.group[i] = u
+	}
+	return ps
+}
+
+// nearest returns each distinct point's nearest center.
+func (ps *pointSet) nearest(centers [][]float64) []int {
+	near := make([]int, len(ps.distinct))
+	for u, p := range ps.distinct {
+		near[u] = nearestCenter(p, centers)
+	}
+	return near
+}
+
+// expand maps a per-distinct-point assignment to every point.
+func (ps *pointSet) expand(near []int) []int {
+	assign := make([]int, len(ps.pts))
+	for i, u := range ps.group {
+		assign[i] = near[u]
+	}
+	return assign
+}
+
+// farthest returns the point farthest from its assigned center (near
+// is per distinct point); ties go to the lowest index. Distinct points
+// are visited in order of first occurrence, so the first one at the
+// maximum is the one holding the lowest such index.
+func (ps *pointSet) farthest(centers [][]float64, near []int) []float64 {
+	far, farD := 0, -1.0
+	for u, p := range ps.distinct {
+		if d := sqDist(p, centers[near[u]]); d > farD {
+			far, farD = u, d
+		}
+	}
+	return ps.distinct[far]
+}
+
+// nearestCenter returns the index of the center closest to p; ties go
+// to the lowest index.
+func nearestCenter(p []float64, centers [][]float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c := range centers {
+		if d := sqDist(p, centers[c]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
+// kmeans runs weighted Lloyd's algorithm with k-means++ seeding and
+// returns the final centers and the number of Lloyd iterations run.
+//
+// The centers after an iteration depend only on the centers before it
+// (Lloyd draws no random numbers, and an empty-cluster reseed reads only
+// the assignment those centers induce). So when an iteration that did
+// not converge starts from centers bitwise equal to an earlier
+// iteration's, the loop is periodic from there on and can never
+// converge: the centers it would hold after maxIters iterations are
+// read off the cycle instead of iterated to. This is common — an empty
+// cluster reseeded onto a duplicate point empties again and again.
+func kmeans(ps *pointSet, weights []float64, k, maxIters int, rng *rand.Rand) ([][]float64, int) {
+	dims := len(ps.pts[0])
+	centers := seedPlusPlus(ps, weights, k, rng)
+	near := make([]int, len(ps.distinct))
+	sums := make([][]float64, k)
+	for c := range sums {
+		sums[c] = make([]float64, dims)
+	}
+	ws := make([]float64, k)
+	// moved marks the clusters whose membership changed since their sums
+	// were last computed; the others keep their sums, which depend only
+	// on the members.
+	moved := make([]bool, k)
+	for c := range moved {
+		moved[c] = true
+	}
+	// snaps holds the centers at the start of each iteration, flattened.
+	snaps := make([]float64, 0, 4*k*dims)
 
 	for iter := 0; iter < maxIters; iter++ {
+		for _, c := range centers {
+			snaps = append(snaps, c...)
+		}
 		changed := false
-		for i, p := range pts {
-			best, bestD := 0, math.Inf(1)
-			for c := range centers {
-				if d := sqDist(p, centers[c]); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
+		for u, p := range ps.distinct {
+			if best := nearestCenter(p, centers); best != near[u] {
+				moved[near[u]], moved[best] = true, true
+				near[u] = best
 				changed = true
 			}
 		}
 		if !changed && iter > 0 {
-			break
+			return centers, iter + 1
 		}
-		// Recompute weighted centroids.
-		sums := make([][]float64, k)
-		ws := make([]float64, k)
+		if j := earlierSnapshot(snaps, iter, k*dims); j >= 0 {
+			at := j + (maxIters-j)%(iter-j)
+			for c := range centers {
+				copy(centers[c], snaps[(at*k+c)*dims:])
+			}
+			return centers, iter + 1
+		}
+		// Recompute the weighted centroids of clusters that changed.
 		for c := range sums {
-			sums[c] = make([]float64, dims)
+			if moved[c] {
+				clear(sums[c])
+				ws[c] = 0
+			}
 		}
-		for i, p := range pts {
-			c := assign[i]
+		for i, p := range ps.pts {
+			c := near[ps.group[i]]
+			if !moved[c] {
+				continue
+			}
 			w := weights[i]
 			ws[c] += w
 			for j, x := range p {
@@ -354,66 +452,69 @@ func kmeans(pts [][]float64, weights []float64, k, maxIters int, rng *rand.Rand)
 			if ws[c] == 0 {
 				// Empty cluster: reseed to the point farthest from its
 				// center.
-				far, farD := 0, -1.0
-				for i, p := range pts {
-					if d := sqDist(p, centers[assign[i]]); d > farD {
-						far, farD = i, d
-					}
-				}
-				copy(centers[c], pts[far])
+				copy(centers[c], ps.farthest(centers, near))
 				continue
 			}
 			for j := range centers[c] {
 				centers[c][j] = sums[c][j] / ws[c]
 			}
 		}
+		clear(moved)
 	}
-	// Final assignment against final centers.
-	for i, p := range pts {
-		best, bestD := 0, math.Inf(1)
-		for c := range centers {
-			if d := sqDist(p, centers[c]); d < bestD {
-				best, bestD = c, d
+	return centers, maxIters
+}
+
+// earlierSnapshot returns the index of an earlier snapshot bitwise equal
+// to snapshot iter (each size floats long), or -1.
+func earlierSnapshot(snaps []float64, iter, size int) int {
+	cur := snaps[iter*size:]
+next:
+	for j := 0; j < iter; j++ {
+		for x, v := range snaps[j*size : (j+1)*size] {
+			if math.Float64bits(v) != math.Float64bits(cur[x]) {
+				continue next
 			}
 		}
-		assign[i] = best
+		return j
 	}
-	return assign, centers
+	return -1
 }
 
 // seedPlusPlus performs weighted k-means++ initialization.
-func seedPlusPlus(pts [][]float64, weights []float64, k int, rng *rand.Rand) [][]float64 {
-	n := len(pts)
+func seedPlusPlus(ps *pointSet, weights []float64, k int, rng *rand.Rand) [][]float64 {
+	n := len(ps.pts)
 	centers := make([][]float64, 0, k)
 	// First center: weighted random point.
-	centers = append(centers, clonePt(pts[weightedPick(weights, rng)]))
-	d2 := make([]float64, n)
+	centers = append(centers, clonePt(ps.pts[weightedPick(weights, rng)]))
+	d2 := make([]float64, len(ps.distinct)) // per distinct point
 	for len(centers) < k {
-		sum := 0.0
 		last := centers[len(centers)-1]
-		for i, p := range pts {
+		for u, p := range ps.distinct {
 			d := sqDist(p, last)
-			if len(centers) == 1 || d < d2[i] {
-				d2[i] = d
+			if len(centers) == 1 || d < d2[u] {
+				d2[u] = d
 			}
-			sum += d2[i] * weights[i]
+		}
+		sum := 0.0
+		for i, u := range ps.group {
+			sum += d2[u] * weights[i]
 		}
 		if sum == 0 {
 			// All points coincide with centers; duplicate any point.
-			centers = append(centers, clonePt(pts[rng.Intn(n)]))
+			centers = append(centers, clonePt(ps.pts[rng.Intn(n)]))
 			continue
 		}
 		r := rng.Float64() * sum
 		acc := 0.0
 		pick := n - 1
-		for i := range pts {
-			acc += d2[i] * weights[i]
+		for i, u := range ps.group {
+			acc += d2[u] * weights[i]
 			if acc >= r {
 				pick = i
 				break
 			}
 		}
-		centers = append(centers, clonePt(pts[pick]))
+		centers = append(centers, clonePt(ps.pts[pick]))
 	}
 	return centers
 }
@@ -442,14 +543,19 @@ func clonePt(p []float64) []float64 {
 
 // bic scores a clustering with the Bayesian Information Criterion under
 // a spherical Gaussian model (the X-means formulation), with interval
-// weights acting as effective point counts.
-func bic(pts [][]float64, weights []float64, assign []int, centers [][]float64, totalW float64) float64 {
+// weights acting as effective point counts. near is the assignment per
+// distinct point.
+func bic(ps *pointSet, weights []float64, near []int, centers [][]float64, totalW float64) float64 {
 	k := len(centers)
-	d := float64(len(pts[0]))
+	d := float64(len(ps.pts[0]))
 	// Pooled within-cluster variance.
+	dist := make([]float64, len(ps.distinct))
+	for u, p := range ps.distinct {
+		dist[u] = sqDist(p, centers[near[u]])
+	}
 	ss := 0.0
-	for i, p := range pts {
-		ss += weights[i] * sqDist(p, centers[assign[i]])
+	for i, u := range ps.group {
+		ss += weights[i] * dist[u]
 	}
 	denom := totalW - float64(k)
 	if denom <= 0 {
@@ -464,8 +570,8 @@ func bic(pts [][]float64, weights []float64, assign []int, centers [][]float64, 
 		sigma2 = 1e-6
 	}
 	clusterW := make([]float64, k)
-	for i, a := range assign {
-		clusterW[a] += weights[i]
+	for i, u := range ps.group {
+		clusterW[near[u]] += weights[i]
 	}
 	loglik := 0.0
 	for _, w := range clusterW {

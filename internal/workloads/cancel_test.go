@@ -25,12 +25,12 @@ func TestPoolCancelPrompt(t *testing.T) {
 
 	release := make(chan struct{})
 	entered := make(chan struct{}, len(units))
-	poolTestHook = func(u Unit, attempt int) {
+	setPoolTestHook(func(u Unit, attempt int) {
 		entered <- struct{}{}
 		<-release
-	}
+	})
 	defer func() {
-		poolTestHook = nil
+		setPoolTestHook(nil)
 		close(release) // unblock abandoned attempt goroutines
 	}()
 

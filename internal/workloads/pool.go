@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"gtpin/internal/device"
@@ -113,10 +114,11 @@ type PoolOptions struct {
 	UnitTimeout time.Duration
 }
 
-// poolTestHook, when non-nil, runs at the start of every execution
-// attempt — the crash-recovery suite uses it to inject worker panics at
-// chosen units and attempts.
-var poolTestHook func(u Unit, attempt int)
+// poolTestHook, when set, runs at the start of every execution attempt
+// — the crash-recovery suite uses it to inject worker panics at chosen
+// units and attempts. It is atomic because attempts abandoned by a
+// timeout or cancellation still read it after RunPool returns.
+var poolTestHook atomic.Pointer[func(u Unit, attempt int)]
 
 // RunPool executes units as a supervised worker pool over internal/par.
 //
@@ -332,8 +334,8 @@ func runSupervised(u Unit, attempt int, rc *ReplayCache) (res *Result, err error
 				u.Key(), attempt, faults.ErrWorkerPanic, r, debug.Stack())
 		}
 	}()
-	if hook := poolTestHook; hook != nil {
-		hook(u, attempt)
+	if hook := poolTestHook.Load(); hook != nil {
+		(*hook)(u, attempt)
 	}
 	return runPipeline(u.Spec, u.Scale, u.Cfg, u.TrialSeed, u.Faults, rc)
 }

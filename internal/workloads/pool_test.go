@@ -97,6 +97,16 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
+// setPoolTestHook installs hook for every execution attempt; nil removes
+// it.
+func setPoolTestHook(hook func(u Unit, attempt int)) {
+	if hook == nil {
+		poolTestHook.Store(nil)
+		return
+	}
+	poolTestHook.Store(&hook)
+}
+
 // TestPoolPanicRestart: a worker panic on the first attempt is
 // recovered, the unit restarted within its budget, and the final
 // artifact is indistinguishable from an undisturbed run — with the
@@ -104,12 +114,12 @@ func TestArtifactRoundTrip(t *testing.T) {
 func TestPoolPanicRestart(t *testing.T) {
 	units := poolUnits(t)
 	target := units[1].Key()
-	poolTestHook = func(u Unit, attempt int) {
+	setPoolTestHook(func(u Unit, attempt int) {
 		if u.Key() == target && attempt == 0 {
 			panic("injected worker panic")
 		}
-	}
-	defer func() { poolTestHook = nil }()
+	})
+	defer func() { setPoolTestHook(nil) }()
 
 	outs, err := RunPool(context.Background(), units, PoolOptions{})
 	if err != nil {
@@ -144,12 +154,12 @@ func TestPoolPanicBudgetExhausted(t *testing.T) {
 	defer state.Close()
 	units := poolUnits(t)
 	target := units[0].Key()
-	poolTestHook = func(u Unit, attempt int) {
+	setPoolTestHook(func(u Unit, attempt int) {
 		if u.Key() == target {
 			panic("always panics")
 		}
-	}
-	defer func() { poolTestHook = nil }()
+	})
+	defer func() { setPoolTestHook(nil) }()
 
 	outs, err := RunPool(context.Background(), units, PoolOptions{State: state, MaxRestarts: 1})
 	if err != nil {
@@ -186,8 +196,8 @@ func TestPoolPanicBudgetExhausted(t *testing.T) {
 // TestPoolRestartBackoffCapped: the modelled backoff doubles and caps.
 func TestPoolRestartBackoffCapped(t *testing.T) {
 	units := poolUnits(t)[:1]
-	poolTestHook = func(u Unit, attempt int) { panic("forever") }
-	defer func() { poolTestHook = nil }()
+	setPoolTestHook(func(u Unit, attempt int) { panic("forever") })
+	defer func() { setPoolTestHook(nil) }()
 	outs, err := RunPool(context.Background(), units, PoolOptions{MaxRestarts: 10})
 	if err != nil {
 		t.Fatal(err)

@@ -161,13 +161,13 @@ func TestResumeAfterWorkerPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := units[2].Key()
-	poolTestHook = func(u Unit, attempt int) {
+	setPoolTestHook(func(u Unit, attempt int) {
 		if u.Key() == target {
 			panic("crash in worker")
 		}
-	}
+	})
 	outs1, err := RunPool(context.Background(), units, PoolOptions{State: state, MaxRestarts: -1})
-	poolTestHook = nil
+	setPoolTestHook(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,12 +21,12 @@ func hangUnits(t *testing.T) ([]Unit, string) {
 	hung := units[1].Key()
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	poolTestHook = func(u Unit, attempt int) {
+	setPoolTestHook(func(u Unit, attempt int) {
 		if u.Key() == hung {
 			<-release
 		}
-	}
-	t.Cleanup(func() { poolTestHook = nil })
+	})
+	t.Cleanup(func() { setPoolTestHook(nil) })
 	return units, hung
 }
 
