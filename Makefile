@@ -71,12 +71,24 @@ snippets-smoke:
 # the translation is a pure cross-dialect re-encode and any divergence
 # is a translator or dialect-plumbing bug, never a legalization
 # artifact.
+#
+# Characterize output is dialect-invariant, so that leg alone cannot
+# tell translation from a dropped dialect. The second leg is
+# dialect-sensitive: subsets reports read the native timings, which
+# GENX issue costs move. It requires the -dialect genx report to differ
+# from the native golden file, and to be byte-identical in-process and
+# on a two-worker fleet — fleet workers re-execute with no flags, so
+# this fails whenever the target does not reach them.
 xlate-smoke:
 	rm -rf .xlate-smoke
 	mkdir -p .xlate-smoke
 	$(GO) run -race ./cmd/characterize -scale tiny -fig all > .xlate-smoke/native.out 2> .xlate-smoke/native.err
 	$(GO) run -race ./cmd/characterize -scale tiny -fig all -dialect genx -translate gen > .xlate-smoke/xlate.out 2> .xlate-smoke/xlate.err
 	cmp .xlate-smoke/native.out .xlate-smoke/xlate.out
+	$(GO) run ./cmd/subsets -scale tiny -fig all -dialect genx > .xlate-smoke/genx.out 2> .xlate-smoke/genx.err
+	$(GO) run ./cmd/subsets -scale tiny -fig all -dialect genx -fleet 2 > .xlate-smoke/genx-fleet.out 2> .xlate-smoke/genx-fleet.err
+	! cmp -s results/subsets_tiny.txt .xlate-smoke/genx.out
+	cmp .xlate-smoke/genx.out .xlate-smoke/genx-fleet.out
 	rm -rf .xlate-smoke
 
 # service-race runs the profiling-service suite — queue/shed, retry and

@@ -23,6 +23,7 @@ import (
 	"gtpin/internal/simpoint"
 	"gtpin/internal/stats"
 	"gtpin/internal/workloads"
+	"gtpin/internal/xlate"
 )
 
 var benchScale = workloads.ScaleTiny
@@ -321,7 +322,7 @@ func crossErrors(b *testing.B, f *fixture, cfg device.Config, seed int64) []floa
 	for _, spec := range f.specs {
 		res := f.results[spec.Name]
 		best := selection.MinError(f.evals[spec.Name])
-		times, err := workloads.TimedReplay(res.Recording, cfg, seed)
+		times, err := workloads.TimedReplay(res.Recording, cfg, seed, xlate.Target{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +381,7 @@ func BenchmarkOverheadGTPin(b *testing.B) {
 	rec := f.results["cb-physics-ocean-surf"].Recording
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := workloads.TimedReplay(rec, device.IvyBridgeHD4000(), 1); err != nil {
+		if _, err := workloads.TimedReplay(rec, device.IvyBridgeHD4000(), 1, xlate.Target{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -40,8 +40,8 @@ import (
 	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
 	"gtpin/internal/obs"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/runstate"
+	"gtpin/internal/sweep"
 	"gtpin/internal/testgen"
 	"gtpin/internal/workloads"
 )
@@ -107,38 +107,9 @@ func median(ds []time.Duration) time.Duration {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
-}
-
-// buildUnits lays out the benchmark sweep: every workload at the given
-// scale, repeated for trials seeds — the shape of a real
-// characterization run, where repeated trials re-instrument the same
-// kernels and the rewrite cache earns its keep.
-func buildUnits(sc workloads.Scale, trials int) []workloads.Unit {
-	specs := workloads.All()
-	units := make([]workloads.Unit, 0, len(specs)*trials)
-	for trial := 1; trial <= trials; trial++ {
-		for _, s := range specs {
-			units = append(units, workloads.Unit{
-				Spec: s, Scale: sc, Cfg: device.IvyBridgeHD4000(), TrialSeed: int64(trial),
-			})
-		}
-	}
-	return units
-}
-
-// sweep runs the unit list and returns wall time plus the encoded
+// timedSweep runs the unit list and returns wall time plus the encoded
 // artifact of every unit, in unit order.
-func sweep(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) (time.Duration, [][]byte, error) {
+func timedSweep(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) (time.Duration, [][]byte, error) {
 	t0 := time.Now()
 	outs, err := workloads.RunPool(ctx, units, opts)
 	elapsed := time.Since(t0)
@@ -281,8 +252,6 @@ func priorDetsimMIPS(path string) (float64, error) {
 }
 
 func run() (retErr error) {
-	scale := flag.String("scale", "tiny", "workload scale: full, small, or tiny")
-	workers := flag.Int("workers", 0, "shard count for the optimized run (0 = GOMAXPROCS)")
 	trials := flag.Int("trials", 3, "trial seeds per workload (re-instrumentation pressure)")
 	out := flag.String("out", "BENCH_sweep.json", "report path (written atomically)")
 	minSpeedup := flag.Float64("min-speedup", 0, "fail unless optimized/baseline speedup reaches this factor")
@@ -292,42 +261,32 @@ func run() (retErr error) {
 	minDetsimRatio := flag.Float64("min-detsim-ratio", 0, "fail if detailed-interpreter MI/s falls below this fraction of the previous report's (0 = report only)")
 	requireDetsimPrior := flag.Bool("require-detsim-prior", false, "fail if -min-detsim-ratio is set but no prior report exists to gate against (CI arms this so the gate can never be silently vacuous)")
 	detsimReps := flag.Int("detsim-reps", 3, "timed repetitions of the detailed-interpreter benchmark (best is kept)")
-	timeout := flag.Duration("timeout", 0, "overall benchmark deadline (0 = none); sweeps still running at the deadline are abandoned and their units classified as unit-timeout faults")
-	obsFlags := obsflag.Register(flag.CommandLine)
+	sf := sweep.Bind(flag.CommandLine, "tiny", sweep.WorkerFlag|sweep.TimeoutFlag)
 	flag.Parse()
 
-	sc, err := parseScale(*scale)
-	if err != nil {
-		return err
-	}
 	if *overheadReps < 1 {
 		return fmt.Errorf("-overhead-reps %d: need at least one repetition", *overheadReps)
 	}
-	obsSess, err := obsflag.Start(obsFlags)
+	ctx, sess, err := sf.Start(context.Background(), "bench")
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	w := *workers
+	defer sess.Finish(&retErr)
+	sc := sess.Scale
+	w := sess.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	units := buildUnits(sc, *trials)
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	// Every workload repeated for -trials seeds: the shape of a real
+	// characterization run, where repeated trials re-instrument the same
+	// kernels and the rewrite cache earns its keep.
+	sess.Trials = *trials
+	units := sess.Units()
 
 	// Warm-up pass: populates the page cache and steadies the Go runtime
 	// so neither timed run pays one-time costs. Not timed.
 	gtpin.SetDefaultRewriteCache(gtpin.NewRewriteCache())
-	if _, _, err := sweep(ctx, units, workloads.PoolOptions{Workers: w}); err != nil {
+	if _, _, err := timedSweep(ctx, units, workloads.PoolOptions{Workers: w}); err != nil {
 		return fmt.Errorf("warm-up sweep: %w", err)
 	}
 
@@ -335,7 +294,7 @@ func run() (retErr error) {
 	// unit rewriting its kernels and re-executing its instrumented replay
 	// from scratch.
 	gtpin.SetDefaultRewriteCache(nil)
-	baseNs, baseArt, err := sweep(ctx, units, workloads.PoolOptions{
+	baseNs, baseArt, err := timedSweep(ctx, units, workloads.PoolOptions{
 		Workers: 1, DisableReplayCache: true,
 	})
 	if err != nil {
@@ -354,7 +313,7 @@ func run() (retErr error) {
 	for r := 0; r < *overheadReps; r++ {
 		gtpin.SetDefaultRewriteCache(gtpin.NewRewriteCache())
 		replays := workloads.NewReplayCache()
-		ns, art, err := sweep(ctx, units, workloads.PoolOptions{
+		ns, art, err := timedSweep(ctx, units, workloads.PoolOptions{
 			Workers: w, ReplayCache: replays,
 		})
 		if err != nil {
@@ -408,7 +367,7 @@ func run() (retErr error) {
 		prevTracer := obs.ActiveTracer()
 		tracer := obs.NewTracer()
 		obs.SetTracer(tracer)
-		ns, art, err := sweep(ctx, units, workloads.PoolOptions{
+		ns, art, err := timedSweep(ctx, units, workloads.PoolOptions{
 			Workers: w, ReplayCache: workloads.NewReplayCache(),
 		})
 		obs.SetTracer(prevTracer)

@@ -32,20 +32,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
-	"gtpin/internal/device"
 	"gtpin/internal/faults"
 	"gtpin/internal/fleet"
 	"gtpin/internal/isa"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
-	"gtpin/internal/runstate"
 	"gtpin/internal/stats"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
-	"gtpin/internal/xlate"
 )
 
 // main delegates to run so that every error path unwinds through the
@@ -64,117 +60,30 @@ func run() (retErr error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	scaleFlag := flag.String("scale", "full", "workload scale: full, small, or tiny")
-	appFlag := flag.String("app", "", "profile a single benchmark by name")
 	figFlag := flag.String("fig", "all", "which output to produce: table1, 3a, 3b, 3c, 4a, 4b, 4c, or all")
-	faultRate := flag.Float64("fault-rate", 0, "chaos mode: per-site fault-injection rate in [0,1]")
-	faultSeed := flag.Int64("fault-seed", 1, "chaos mode: fault-injection seed")
-	watchdog := flag.Uint64("watchdog", 0, "per-enqueue kernel watchdog budget in instructions (0 = off)")
-	stateDir := flag.String("state-dir", "", "checkpoint directory: journal each unit and persist profiles atomically")
-	resume := flag.Bool("resume", false, "continue a journaled run from -state-dir: skip completed units, re-run in-flight ones")
-	workers := flag.Int("workers", 0, "concurrent sweep shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
-	fleetN := flag.Int("fleet", 0, "distribute the sweep across N worker processes with lease-based fault tolerance (0 = in-process pool); reports are identical either way")
-	timeout := flag.Duration("timeout", 0, "overall sweep deadline (0 = none); units still running at the deadline are abandoned and classified as unit-timeout faults")
-	xlFlags := xlate.RegisterFlags(flag.CommandLine)
-	obsFlags := obsflag.Register(flag.CommandLine)
+	sf := sweep.Bind(flag.CommandLine, "full",
+		sweep.AppFlag|sweep.FaultFlags|sweep.TargetFlags|sweep.WorkerFlag|sweep.StateFlags|sweep.TimeoutFlag)
 	flag.Parse()
-	if err := xlFlags.Install(); err != nil {
-		return err
-	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
+	ctx, sess, err := sf.Start(ctx, "characterize")
 	if err != nil {
 		return err
 	}
+	defer sess.Finish(&retErr)
 
-	specs := workloads.All()
-	if *appFlag != "" {
-		spec, err := workloads.ByName(*appFlag)
-		if err != nil {
-			return err
-		}
-		specs = []*workloads.Spec{spec}
+	specs := sess.Apps
+	if specs == nil {
+		specs = workloads.All()
 	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
-	}
-	var fo *workloads.FaultOptions
-	if *faultRate > 0 || *watchdog > 0 {
-		fo = &workloads.FaultOptions{
-			Rates:    faults.Uniform(*faultRate),
-			Seed:     *faultSeed,
-			Watchdog: *watchdog,
-		}
-	}
-
-	state, err := runstate.OpenSweep(*stateDir, *resume, "characterize", os.Stderr)
-	if err != nil {
-		return err
-	}
-	if state != nil {
-		defer state.Close()
-	}
-
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if *stateDir != "" {
-		obsSess.SetDefaultMetricsPath(filepath.Join(*stateDir, "metrics.json"))
-	}
-
 	if show(*figFlag, "table1") {
 		printTableI(specs)
 	}
 
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: device.IvyBridgeHD4000(), TrialSeed: 1, Faults: fo}
-	}
-	var outs []workloads.Outcome
-	var perr error
-	if *fleetN > 0 {
-		fleetDir := ""
-		if *stateDir != "" {
-			fleetDir = filepath.Join(*stateDir, "fleet")
-		}
-		outs, perr = fleet.Run(ctx, units, fleet.Options{
-			Dir:       fleetDir,
-			State:     state,
-			Resume:    *resume,
-			Workers:   *fleetN,
-			OnOutcome: progressLine,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-	} else {
-		outs, perr = workloads.RunPool(ctx, units, workloads.PoolOptions{
-			State:     state,
-			Resume:    *resume,
-			OnOutcome: progressLine,
-			Workers:   *workers,
-		})
-	}
+	outs, perr := sess.Run(ctx, workloads.PoolOptions{OnOutcome: progressLine})
 	if perr != nil {
 		if !errors.Is(perr, context.Canceled) {
 			return perr
 		}
 		fmt.Fprintln(os.Stderr, "characterize: interrupted; reporting completed applications")
-		if state != nil {
-			fmt.Fprintf(os.Stderr, "characterize: progress journaled in %s; continue with -resume\n", *stateDir)
-		}
 	}
 
 	type row struct {
@@ -196,7 +105,7 @@ func run() (retErr error) {
 			rows = append(rows, row{spec: specs[i], art: o.Artifact, prof: p})
 		}
 	}
-	if failed > 0 || len(rows) < len(outs) || fo != nil {
+	if failed > 0 || len(rows) < len(outs) || sess.Faults != nil {
 		report.Section(os.Stdout, "Run status")
 		t := report.NewTable("", "Application", "Status", "Error Class", "Injected Faults")
 		for i, o := range outs {
@@ -351,18 +260,6 @@ func printTableI(specs []*workloads.Spec) {
 		t.Row(s.Suite, s.Name)
 	}
 	t.Write(os.Stdout)
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }
 
 func show(figFlag, name string) bool { return figFlag == "all" || figFlag == name }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,10 +29,10 @@ import (
 	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
 	"gtpin/internal/isa"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
 	"gtpin/internal/stats"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
@@ -47,7 +48,6 @@ func main() {
 func run() (retErr error) {
 	appFlag := flag.String("app", "", "benchmark to profile (required; see -list)")
 	listFlag := flag.Bool("list", false, "list available benchmarks")
-	scaleFlag := flag.String("scale", "small", "workload scale: full, small, or tiny")
 	toolsFlag := flag.String("tools", "basic", "instrumentation tools: basic, mem, latency, or all")
 	perKernel := flag.Bool("per-kernel", false, "print per-kernel summaries")
 	perInv := flag.Int("per-invocation", 0, "print the first N per-invocation records")
@@ -56,8 +56,7 @@ func run() (retErr error) {
 	recordPath := flag.String("record", "", "save a CoFluent recording of the run to this file")
 	replayPath := flag.String("replay", "", "profile a saved recording instead of running a benchmark")
 	noCache := flag.Bool("no-cache", false, "disable the rewrite cache: instrument every binary from scratch")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); a run still going at the deadline is abandoned and classified as a unit-timeout fault")
-	obsFlags := obsflag.Register(flag.CommandLine)
+	sf := sweep.Bind(flag.CommandLine, "small", sweep.TimeoutFlag)
 	flag.Parse()
 
 	if *listFlag {
@@ -66,22 +65,15 @@ func run() (retErr error) {
 		}
 		return nil
 	}
-	obsSess, err := obsflag.Start(obsFlags)
+	_, sess, err := sf.Start(context.Background(), "gtpin")
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
+	defer sess.Finish(&retErr)
 	if *appFlag == "" && *replayPath == "" {
 		return fmt.Errorf("-app or -replay is required (use -list to see benchmarks)")
 	}
-	sc, err := parseScale(*scaleFlag)
-	if err != nil {
-		return err
-	}
+	sc, timeout := sess.Scale, sess.Timeout
 	var opts gtpin.Options
 	opts.DisableCache = *noCache
 	switch *toolsFlag {
@@ -278,29 +270,17 @@ func run() (retErr error) {
 		}
 		return nil
 	}
-	if *timeout <= 0 {
+	if timeout <= 0 {
 		return work()
 	}
 	done := make(chan error, 1)
 	go func() { done <- work() }()
-	tm := time.NewTimer(*timeout)
+	tm := time.NewTimer(timeout)
 	defer tm.Stop()
 	select {
 	case err := <-done:
 		return err
 	case <-tm.C:
-		return fmt.Errorf("%w after %v (profiling run abandoned)", faults.ErrUnitTimeout, *timeout)
+		return fmt.Errorf("%w after %v (profiling run abandoned)", faults.ErrUnitTimeout, timeout)
 	}
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 
 	"gtpin/internal/cofluent"
@@ -33,13 +32,13 @@ import (
 	"gtpin/internal/fleet"
 	"gtpin/internal/intervals"
 	"gtpin/internal/isa"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/par"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
 	"gtpin/internal/runstate"
 	"gtpin/internal/selection"
 	"gtpin/internal/stats"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
@@ -65,48 +64,24 @@ func run() (retErr error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	scaleFlag := flag.String("scale", "small", "workload scale: full, small, or tiny")
 	skipValidate := flag.Bool("skip-validate", false, "skip the Figure 8 validations (the slowest step)")
-	stateDir := flag.String("state-dir", "", "checkpoint directory: journal each application and persist profiles and recordings atomically")
-	resume := flag.Bool("resume", false, "continue a journaled run from -state-dir: skip completed applications, re-run in-flight ones")
-	workers := flag.Int("workers", 0, "concurrent sweep shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
-	fleetN := flag.Int("fleet", 0, "distribute the profiling sweep across N worker processes with lease-based fault tolerance (0 = in-process pool); requires -state-dir so recordings survive the handoff")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); units still running at the deadline are abandoned and classified as unit-timeout faults")
-	obsFlags := obsflag.Register(flag.CommandLine)
+	sf := sweep.Bind(flag.CommandLine, "small", sweep.WorkerFlag|sweep.StateFlags|sweep.TimeoutFlag)
 	flag.Parse()
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
+	ctx, sess, err := sf.Start(ctx, "repro")
 	if err != nil {
 		return err
 	}
+	defer sess.Finish(&retErr)
+	// The replay validations need each unit's recording, and a fleet
+	// worker's in-memory recording dies with the worker — the persisted
+	// blob in the state dir is the only handoff that survives.
+	if sess.Fleet > 0 && sess.State == nil {
+		return fmt.Errorf("-fleet requires -state-dir (recordings must be persisted for replay validation)")
+	}
+	sc := sess.Scale
 	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sc), Seed: 42}
-	base := device.IvyBridgeHD4000()
-
-	state, err := runstate.OpenSweep(*stateDir, *resume, "repro", os.Stderr)
-	if err != nil {
-		return err
-	}
-	if state != nil {
-		defer state.Close()
-	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if *stateDir != "" {
-		obsSess.SetDefaultMetricsPath(filepath.Join(*stateDir, "metrics.json"))
-	}
+	base := sess.Config
+	state := sess.State
 
 	var checks []check
 	add := func(name, paper, measured string, ok bool) {
@@ -125,56 +100,11 @@ func run() (retErr error) {
 		recording func() (*cofluent.Recording, error)
 		evals     []*selection.Evaluation
 	}
+	outs, err := sess.Run(ctx, workloads.PoolOptions{SaveRecordings: state != nil, OnOutcome: sweep.Progress})
+	if err != nil {
+		return err
+	}
 	specs := workloads.All()
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: base, TrialSeed: 1}
-	}
-	progress := func(o workloads.Outcome) {
-		switch {
-		case o.Err != nil:
-			fmt.Fprintf(os.Stderr, "FAILED   %-28s %v\n", o.Unit.Spec.Name, o.Err)
-		case o.Resumed:
-			fmt.Fprintf(os.Stderr, "resumed  %-28s\n", o.Unit.Spec.Name)
-		default:
-			fmt.Fprintf(os.Stderr, "profiled %-28s\n", o.Unit.Spec.Name)
-		}
-	}
-	var outs []workloads.Outcome
-	var perr error
-	if *fleetN > 0 {
-		// The replay validations need each unit's recording, and a fleet
-		// worker's in-memory recording dies with the worker — the persisted
-		// blob in the state dir is the only handoff that survives.
-		if state == nil {
-			return fmt.Errorf("-fleet requires -state-dir (recordings must be persisted for replay validation)")
-		}
-		outs, perr = fleet.Run(ctx, units, fleet.Options{
-			Dir:            filepath.Join(*stateDir, "fleet"),
-			State:          state,
-			Resume:         *resume,
-			Workers:        *fleetN,
-			SaveRecordings: true,
-			OnOutcome:      progress,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-	} else {
-		outs, perr = workloads.RunPool(ctx, units, workloads.PoolOptions{
-			State:          state,
-			Resume:         *resume,
-			SaveRecordings: state != nil,
-			Workers:        *workers,
-			OnOutcome:      progress,
-		})
-	}
-	if perr != nil {
-		if state != nil {
-			fmt.Fprintf(os.Stderr, "repro: interrupted; progress journaled in %s — continue with -resume\n", *stateDir)
-		}
-		return perr
-	}
 	apps := make([]appRun, len(specs))
 	for i, o := range outs {
 		if o.Err != nil {
@@ -302,13 +232,13 @@ func run() (retErr error) {
 	if !*skipValidate {
 		crossErrs := func(cfg device.Config, seed int64) ([]float64, error) {
 			out := make([]float64, len(apps))
-			if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+			if err := par.ForEachN(ctx, len(apps), sess.Workers, func(i int) error {
 				best := selection.MinError(apps[i].evals)
 				rec, err := apps[i].recording()
 				if err != nil {
 					return err
 				}
-				times, err := workloads.TimedReplay(rec, cfg, seed)
+				times, err := workloads.TimedReplay(rec, cfg, seed, sess.Target)
 				if err != nil {
 					return err
 				}
@@ -358,11 +288,11 @@ func run() (retErr error) {
 		}
 		add("Fig 8: Haswell errors below 3%", "most (worst ~11%)", fmt.Sprintf("%d/25", under3), under3 >= 18)
 
-		ivb, err := workloads.LuxMarkScore(base)
+		ivb, err := workloads.LuxMarkScore(base, sess.Target)
 		if err != nil {
 			return err
 		}
-		hswScore, err := workloads.LuxMarkScore(device.HaswellHD4600())
+		hswScore, err := workloads.LuxMarkScore(device.HaswellHD4600(), sess.Target)
 		if err != nil {
 			return err
 		}
@@ -417,16 +347,4 @@ func boolWord(b bool) string {
 		return "monotone"
 	}
 	return "NOT monotone"
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }

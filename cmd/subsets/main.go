@@ -27,20 +27,17 @@ import (
 	"path/filepath"
 	"syscall"
 
-	"gtpin/internal/device"
 	"gtpin/internal/export"
 	"gtpin/internal/features"
 	"gtpin/internal/fleet"
 	"gtpin/internal/intervals"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/par"
 	"gtpin/internal/profile"
 	"gtpin/internal/report"
-	"gtpin/internal/runstate"
 	"gtpin/internal/selection"
 	"gtpin/internal/stats"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
-	"gtpin/internal/xlate"
 )
 
 // fig5Apps are the three sample applications shown in Figure 5.
@@ -61,56 +58,20 @@ func run() (retErr error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	scaleFlag := flag.String("scale", "full", "workload scale: full, small, or tiny")
 	figFlag := flag.String("fig", "all", "output: table2, table3, 5, 6, 7, bestavg, or all")
 	csvDir := flag.String("csv", "", "directory to write per-app evaluation CSVs and selection work lists (atomic writes)")
-	stateDir := flag.String("state-dir", "", "checkpoint directory: journal each application and persist profiles atomically")
-	resume := flag.Bool("resume", false, "continue a journaled run from -state-dir: skip completed applications, re-run in-flight ones")
-	workers := flag.Int("workers", 0, "concurrent sweep shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
 	simFlag := flag.Bool("simulate", false, "after selection, simulate each application's error-minimizing subset in detail")
 	simMode := flag.String("sim-mode", "snippets", "subset simulation mode: snippets (parallel interval replay) or serial (per-interval fast-forwarding); stdout is byte-identical across modes")
 	simApps := flag.String("sim-apps", "", "comma-separated applications to simulate (default: the Figure 5 sample apps)")
 	simWarmup := flag.Int("sim-warmup", 2, "cache-warming invocations preceding each simulated interval")
-	fleetN := flag.Int("fleet", 0, "distribute the profiling sweep across N worker processes with lease-based fault tolerance (0 = in-process pool); reports are identical either way")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); units still running at the deadline are abandoned and classified as unit-timeout faults")
-	xlFlags := xlate.RegisterFlags(flag.CommandLine)
-	obsFlags := obsflag.Register(flag.CommandLine)
+	sf := sweep.Bind(flag.CommandLine, "full", sweep.TargetFlags|sweep.WorkerFlag|sweep.StateFlags|sweep.TimeoutFlag)
 	flag.Parse()
-	if err := xlFlags.Install(); err != nil {
-		return err
-	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
+	ctx, sess, err := sf.Start(ctx, "subsets")
 	if err != nil {
 		return err
 	}
-	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sc), Seed: 42}
-
-	state, err := runstate.OpenSweep(*stateDir, *resume, "subsets", os.Stderr)
-	if err != nil {
-		return err
-	}
-	if state != nil {
-		defer state.Close()
-	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if *stateDir != "" {
-		obsSess.SetDefaultMetricsPath(filepath.Join(*stateDir, "metrics.json"))
-	}
+	defer sess.Finish(&retErr)
+	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sess.Scale), Seed: 42}
 
 	if show(*figFlag, "table3") {
 		printTableIII()
@@ -121,65 +82,23 @@ func run() (retErr error) {
 	// observation in Section V-C). The sweep runs as a supervised pool:
 	// with -state-dir each profile is journaled and persisted, so a
 	// resumed run rebuilds the identical tables from the artifacts.
-	cfg := device.IvyBridgeHD4000()
-	specs := workloads.All()
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: 1}
-	}
-	progress := func(o workloads.Outcome) {
-		switch {
-		case o.Err != nil:
-			fmt.Fprintf(os.Stderr, "FAILED   %-28s %v\n", o.Unit.Spec.Name, o.Err)
-		case o.Resumed:
-			fmt.Fprintf(os.Stderr, "resumed  %-28s\n", o.Unit.Spec.Name)
-		default:
-			fmt.Fprintf(os.Stderr, "profiled %-28s\n", o.Unit.Spec.Name)
-		}
-	}
-	var outs []workloads.Outcome
-	var perr error
-	if *fleetN > 0 {
-		fleetDir := ""
-		if *stateDir != "" {
-			fleetDir = filepath.Join(*stateDir, "fleet")
-		}
-		outs, perr = fleet.Run(ctx, units, fleet.Options{
-			Dir:       fleetDir,
-			State:     state,
-			Resume:    *resume,
-			Workers:   *fleetN,
-			OnOutcome: progress,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-	} else {
-		outs, perr = workloads.RunPool(ctx, units, workloads.PoolOptions{
-			State:     state,
-			Resume:    *resume,
-			Workers:   *workers,
-			OnOutcome: progress,
-		})
-	}
-	if perr != nil {
-		if state != nil {
-			fmt.Fprintf(os.Stderr, "subsets: interrupted; progress journaled in %s — continue with -resume\n", *stateDir)
-		}
-		return perr
+	outs, err := sess.Run(ctx, workloads.PoolOptions{OnOutcome: sweep.Progress})
+	if err != nil {
+		return err
 	}
 	profiles := make(map[string]*profile.Profile)
 	var order []string
-	for i, o := range outs {
+	for _, o := range outs {
+		name := o.Unit.Spec.Name
 		if o.Err != nil {
-			return fmt.Errorf("%s: %w", specs[i].Name, o.Err)
+			return fmt.Errorf("%s: %w", name, o.Err)
 		}
 		p, err := o.Artifact.Profile()
 		if err != nil {
 			return err
 		}
-		profiles[specs[i].Name] = p
-		order = append(order, specs[i].Name)
+		profiles[name] = p
+		order = append(order, name)
 	}
 
 	if show(*figFlag, "table2") {
@@ -193,7 +112,7 @@ func run() (retErr error) {
 	needEvals := show(*figFlag, "5") || show(*figFlag, "6") || show(*figFlag, "7") || show(*figFlag, "bestavg") || *simFlag
 	if needEvals {
 		all := make([][]*selection.Evaluation, len(order))
-		if err := par.ForEachN(ctx, len(order), *workers, func(i int) error {
+		if err := par.ForEachN(ctx, len(order), sess.Workers, func(i int) error {
 			evs, err := selection.EvaluateAll(profiles[order[i]], opts)
 			if err != nil {
 				return err
@@ -232,10 +151,11 @@ func run() (retErr error) {
 			Apps:     parseApps(*simApps),
 			Mode:     *simMode,
 			Warmup:   *simWarmup,
-			Workers:  *workers,
-			Scale:    sc,
-			Device:   cfg,
-			StateDir: *stateDir,
+			Workers:  sess.Workers,
+			Scale:    sess.Scale,
+			Device:   sess.Config,
+			Target:   sess.Target,
+			StateDir: sess.StateDir,
 		}); err != nil {
 			return err
 		}
@@ -409,18 +329,6 @@ func writeCSVs(dir string, order []string, evals map[string][]*selection.Evaluat
 		}
 	}
 	return nil
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }
 
 func show(figFlag, name string) bool { return figFlag == "all" || figFlag == name }

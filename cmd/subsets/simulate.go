@@ -17,6 +17,7 @@ import (
 	"gtpin/internal/runstate"
 	"gtpin/internal/selection"
 	"gtpin/internal/workloads"
+	"gtpin/internal/xlate"
 )
 
 // This file is the paper's step 6 made parallel: actually simulate the
@@ -42,6 +43,7 @@ type simOptions struct {
 	Workers  int
 	Scale    workloads.Scale
 	Device   device.Config
+	Target   xlate.Target
 	StateDir string // when set, sealed snippets persist under <dir>/snippets
 }
 
@@ -79,13 +81,14 @@ func simulateApp(ctx context.Context, w io.Writer, app string, best *selection.E
 		ranges[i] = detsim.Range{From: win.From, To: win.To, Warmup: win.Warmup}
 	}
 
-	rec, err := workloads.Record(spec, opt.Scale, opt.Device)
+	rec, err := workloads.Unit{Spec: spec, Scale: opt.Scale, Cfg: opt.Device, Target: opt.Target}.Record()
 	if err != nil {
 		return err
 	}
 
 	simCfg := detsim.DefaultConfig()
 	simCfg.Device = opt.Device
+	simCfg.Target = opt.Target
 
 	start := time.Now()
 	var reps []*detsim.Report

@@ -31,14 +31,12 @@ import (
 	"syscall"
 
 	"gtpin/internal/device"
-	"gtpin/internal/faults"
-	"gtpin/internal/obs/obsflag"
 	"gtpin/internal/par"
 	"gtpin/internal/report"
 	"gtpin/internal/selection"
 	"gtpin/internal/stats"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
-	"gtpin/internal/xlate"
 )
 
 var freqsMHz = []int{1000, 850, 700, 550, 350}
@@ -57,53 +55,17 @@ func run() (retErr error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	scaleFlag := flag.String("scale", "full", "workload scale: full, small, or tiny")
 	partFlag := flag.String("part", "all", "which validation: trials, freq, arch, or all")
 	nTrials := flag.Int("trials", 9, "number of additional trials (paper: trials 2-10)")
-	faultRate := flag.Float64("fault-rate", 0, "chaos mode: per-site fault-injection rate in [0,1] during profiling")
-	faultSeed := flag.Int64("fault-seed", 1, "chaos mode: fault-injection seed")
-	watchdog := flag.Uint64("watchdog", 0, "per-enqueue kernel watchdog budget in instructions (0 = off)")
-	workers := flag.Int("workers", 0, "concurrent validation shards (0 = GOMAXPROCS, 1 = serial); reports are identical at any setting")
-	timeout := flag.Duration("timeout", 0, "overall run deadline (0 = none); profiling units still running at the deadline are abandoned and classified as unit-timeout faults")
-	xlFlags := xlate.RegisterFlags(flag.CommandLine)
-	obsFlags := obsflag.Register(flag.CommandLine)
+	sf := sweep.Bind(flag.CommandLine, "full", sweep.FaultFlags|sweep.TargetFlags|sweep.WorkerFlag|sweep.TimeoutFlag)
 	flag.Parse()
-	if err := xlFlags.Install(); err != nil {
-		return err
-	}
-
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	sc, err := parseScale(*scaleFlag)
+	ctx, sess, err := sf.Start(ctx, "validate")
 	if err != nil {
 		return err
 	}
-	obsSess, err := obsflag.Start(obsFlags)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := obsSess.Close(); cerr != nil && retErr == nil {
-			retErr = cerr
-		}
-	}()
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
-	}
-	var fo *workloads.FaultOptions
-	if *faultRate > 0 || *watchdog > 0 {
-		fo = &workloads.FaultOptions{
-			Rates:    faults.Uniform(*faultRate),
-			Seed:     *faultSeed,
-			Watchdog: *watchdog,
-		}
-	}
-	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sc), Seed: 42}
-	base := device.IvyBridgeHD4000()
+	defer sess.Finish(&retErr)
+	opts := selection.Options{ApproxTarget: workloads.ApproxTarget(sess.Scale), Seed: 42}
+	base := sess.Config
 
 	type appState struct {
 		spec *workloads.Spec
@@ -115,12 +77,7 @@ func run() (retErr error) {
 	// Profiling runs on the supervised pool (not a bare par loop) so a
 	// -timeout deadline abandons hung units with a typed unit-timeout
 	// fault instead of wedging the whole validation.
-	units := make([]workloads.Unit, len(specs))
-	for i, spec := range specs {
-		units[i] = workloads.Unit{Spec: spec, Scale: sc, Cfg: base, TrialSeed: 1, Faults: fo}
-	}
-	outs, perr := workloads.RunPool(ctx, units, workloads.PoolOptions{
-		Workers: *workers,
+	outs, perr := sess.Run(ctx, workloads.PoolOptions{
 		OnOutcome: func(o workloads.Outcome) {
 			if o.Err == nil {
 				fmt.Fprintf(os.Stderr, "profiled %-28s\n", o.Unit.Spec.Name)
@@ -142,7 +99,7 @@ func run() (retErr error) {
 	}
 
 	crossErr := func(a appState, cfg device.Config, seed int64) (float64, error) {
-		times, err := workloads.TimedReplay(a.res.Recording, cfg, seed)
+		times, err := workloads.TimedReplay(a.res.Recording, cfg, seed, sess.Target)
 		if err != nil {
 			return 0, fmt.Errorf("%s: %w", a.spec.Name, err)
 		}
@@ -157,7 +114,7 @@ func run() (retErr error) {
 		report.Section(os.Stdout, "Figure 8 (top): error using trial-1 selections on trials 2-%d", *nTrials+1)
 		t := report.NewTable("", "Application", "Config", "Mean Error%", "Max Error%")
 		perApp := make([][]float64, len(apps))
-		if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+		if err := par.ForEachN(ctx, len(apps), sess.Workers, func(i int) error {
 			for trial := 2; trial <= *nTrials+1; trial++ {
 				e, err := crossErr(apps[i], base, int64(trial))
 				if err != nil {
@@ -195,7 +152,7 @@ func run() (retErr error) {
 		}
 		t := report.NewTable("", headers...)
 		perApp := make([][]float64, len(apps))
-		if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+		if err := par.ForEachN(ctx, len(apps), sess.Workers, func(i int) error {
 			for _, f := range freqsMHz {
 				e, err := crossErr(apps[i], base.WithFrequency(f), 1)
 				if err != nil {
@@ -230,11 +187,11 @@ func run() (retErr error) {
 	if show(*partFlag, "arch") {
 		// The paper establishes the two GPUs genuinely differ by
 		// comparing LuxMark scores (HD4000: 269, HD4600: 351).
-		ivb, err := workloads.LuxMarkScore(device.IvyBridgeHD4000())
+		ivb, err := workloads.LuxMarkScore(device.IvyBridgeHD4000(), sess.Target)
 		if err != nil {
 			return err
 		}
-		hswScore, err := workloads.LuxMarkScore(device.HaswellHD4600())
+		hswScore, err := workloads.LuxMarkScore(device.HaswellHD4600(), sess.Target)
 		if err != nil {
 			return err
 		}
@@ -245,7 +202,7 @@ func run() (retErr error) {
 		t := report.NewTable("", "Application", "Config", "Error%")
 		hsw := device.HaswellHD4600()
 		errsArch := make([]float64, len(apps))
-		if err := par.ForEachN(ctx, len(apps), *workers, func(i int) error {
+		if err := par.ForEachN(ctx, len(apps), sess.Workers, func(i int) error {
 			e, err := crossErr(apps[i], hsw, 1)
 			if err != nil {
 				return err
@@ -270,18 +227,6 @@ func run() (retErr error) {
 			stats.Mean(all), stats.Max(all), under3, len(apps))
 	}
 	return nil
-}
-
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
 }
 
 func show(partFlag, name string) bool { return partFlag == "all" || partFlag == name }

@@ -23,28 +23,6 @@ type BuildHook func(bin *jit.Binary) (*jit.Binary, error)
 // caller's IR is never mutated.
 type ProgramTransform func(ir *kernel.Program) (*kernel.Program, error)
 
-// defaultProgramTransform and defaultBinaryTransform are process-wide
-// driver configuration, the analogue of environment-selected driver
-// options on a real stack. They are installed once at process startup
-// (before any Context exists) and only read afterwards, so plain
-// variables suffice.
-var (
-	defaultProgramTransform ProgramTransform
-	defaultBinaryTransform  BuildHook
-)
-
-// SetDefaultProgramTransform installs a transform applied to the IR of
-// every program created in this process, in CreateProgram. Install it
-// before creating contexts; nil removes it.
-func SetDefaultProgramTransform(t ProgramTransform) { defaultProgramTransform = t }
-
-// SetDefaultBinaryTransform installs a hook applied to every kernel
-// binary at build time, before any context-registered build hook —
-// so a binary translator installed here runs below GT-Pin's rewriter,
-// and instrumentation lands on the translated code. Install it before
-// creating contexts; nil removes it.
-func SetDefaultBinaryTransform(h BuildHook) { defaultBinaryTransform = h }
-
 // Context owns a device, the objects created against it, and the
 // interception points tools attach to.
 type Context struct {
@@ -53,6 +31,11 @@ type Context struct {
 	resilience   Resilience
 	interceptors []Interceptor
 	buildHooks   []BuildHook
+
+	// progXform and binXform are the context's ISA target (see
+	// SetTransforms); nil means programs compile as authored.
+	progXform ProgramTransform
+	binXform  BuildHook
 
 	seq         int
 	invocations int
@@ -94,6 +77,16 @@ func (ctx *Context) Device() *device.Device { return ctx.dev }
 // AddInterceptor registers an API observer. Interceptors added before any
 // other call see the full stream.
 func (ctx *Context) AddInterceptor(i Interceptor) { ctx.interceptors = append(ctx.interceptors, i) }
+
+// SetTransforms installs the context's ISA target: prog rewrites each
+// program's IR in CreateProgram, and bin runs on every compiled kernel
+// binary before any registered build hook — so a binary translator
+// installed here runs below GT-Pin's rewriter and instrumentation lands
+// on the translated code. Either may be nil. Install before creating
+// programs.
+func (ctx *Context) SetTransforms(prog ProgramTransform, bin BuildHook) {
+	ctx.progXform, ctx.binXform = prog, bin
+}
 
 // AddBuildHook registers a JIT diversion hook; hooks run in registration
 // order on each kernel binary at program build time.
@@ -158,7 +151,7 @@ type Program struct {
 	ir   *kernel.Program
 	bins map[string]*jit.Binary
 
-	// xformErr is a failure of the default program transform, detected
+	// xformErr is a failure of the program transform, detected
 	// at creation but surfaced at Build: CreateProgram mirrors the real
 	// API's no-error signature, where source problems appear as build
 	// errors.
@@ -166,13 +159,13 @@ type Program struct {
 }
 
 // CreateProgram creates a program from kernel IR (the analogue of
-// clCreateProgramWithSource; our "source" is already IR). The default
+// clCreateProgramWithSource; our "source" is already IR). The context's
 // program transform, if installed, is applied here; a transform failure
 // is reported by Build.
 func (ctx *Context) CreateProgram(ir *kernel.Program) *Program {
 	p := &Program{ID: len(ctx.programs), ctx: ctx, ir: ir}
-	if defaultProgramTransform != nil {
-		tir, err := defaultProgramTransform(ir)
+	if ctx.progXform != nil {
+		tir, err := ctx.progXform(ir)
 		if err != nil {
 			p.xformErr = fmt.Errorf("cl: program transform: %w", err)
 		} else {
@@ -182,6 +175,17 @@ func (ctx *Context) CreateProgram(ir *kernel.Program) *Program {
 	ctx.programs = append(ctx.programs, p)
 	ctx.emit(&APICall{Name: CallCreateProgram, Program: p.ID})
 	return p
+}
+
+// ProgramIRs returns the IR of every program created on the context, in
+// creation order, as the driver compiles it (after the program
+// transform) — what a recording must keep to replay the same code.
+func (ctx *Context) ProgramIRs() []*kernel.Program {
+	irs := make([]*kernel.Program, len(ctx.programs))
+	for i, p := range ctx.programs {
+		irs[i] = p.ir
+	}
+	return irs
 }
 
 // IR returns the program's kernel IR.
@@ -236,8 +240,8 @@ func (p *Program) buildOnce() (map[string]*jit.Binary, error) {
 	}
 	for _, name := range names {
 		bin := bins[name]
-		if defaultBinaryTransform != nil {
-			bin, err = defaultBinaryTransform(bin)
+		if p.ctx.binXform != nil {
+			bin, err = p.ctx.binXform(bin)
 			if err != nil {
 				return nil, fmt.Errorf("cl: binary transform on kernel %s: %w", name, err)
 			}

@@ -25,6 +25,7 @@ import (
 	"gtpin/internal/engine"
 	"gtpin/internal/faults"
 	"gtpin/internal/isa"
+	"gtpin/internal/xlate"
 )
 
 // Config describes the simulated machine.
@@ -42,6 +43,10 @@ type Config struct {
 	// the same dynamic instruction on both backends. 0 disables the
 	// budget, leaving only the engine's per-group runaway backstop.
 	WatchdogInstrs uint64
+	// Target is the ISA target recorded programs compile for, exactly
+	// as the driver compiled them for the profiled run; the zero value
+	// simulates the recorded IR as is.
+	Target xlate.Target
 }
 
 // DefaultConfig returns a detailed model of the paper's HD 4000 system.
@@ -266,7 +271,7 @@ func (s *Simulator) Run(rec *cofluent.Recording, detailed []Range) (*Report, err
 		return false
 	}
 
-	err = walkRecording(rec, buffers, walkHooks{onLaunch: func(l *launch) error {
+	err = walkRecording(rec, s.cfg.Target, buffers, walkHooks{onLaunch: func(l *launch) error {
 		if ri := rangeOf(l.Invocation); ri >= 0 {
 			beforeT, beforeI := rep.DetailedTimeNs, rep.DetailedInstrs
 			if err := s.runDetailed(l.IR, l.Args, l.Surfaces, l.GWS, ranges[ri].SampleGroups, rep); err != nil {

@@ -309,7 +309,7 @@ func (s *Simulator) Capture(rec *cofluent.Recording, ranges []Range) ([]*Snippet
 	}
 
 	buffers := make(map[int]*device.Buffer)
-	err = walkRecording(rec, buffers, walkHooks{
+	err = walkRecording(rec, s.cfg.Target, buffers, walkHooks{
 		onCreate: func(id int, b *device.Buffer, c *cl.APICall) error {
 			for _, w := range hostOpen() {
 				// Created inside the window: defined by the event, touched

@@ -10,13 +10,15 @@ import (
 	"gtpin/internal/faults"
 	"gtpin/internal/jit"
 	"gtpin/internal/kernel"
+	"gtpin/internal/xlate"
 )
 
 // This file is the single recording walk both Run (simulate) and
 // Capture (checkpoint) drive: it owns the object tables (buffers,
 // programs, kernels, live argument bindings), validates every
 // host-side data movement against buffer bounds, and compiles recorded
-// programs through a process-wide content-addressed cache. The drivers
+// programs for the simulator's ISA target through a process-wide
+// content-addressed cache. The drivers
 // differ only in their hooks — how an enqueue is executed and whether
 // host events are recorded.
 
@@ -52,8 +54,8 @@ type walkHooks struct {
 // device work through the hooks. Errors from the walker's own
 // validation are prefixed with the call index; hook errors pass through
 // unwrapped so drivers control their messages.
-func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h walkHooks) error {
-	programs := make(map[int]map[string]*jit.Binary)
+func walkRecording(rec *cofluent.Recording, target xlate.Target, buffers map[int]*device.Buffer, h walkHooks) error {
+	programs := make(map[int]*compiled)
 	kernelIR := make(map[int]*kernel.Kernel) // kernel object ID -> IR
 	kernelBin := make(map[int]*jit.Binary)   // kernel object ID -> binary
 	kargs := make(map[int][]uint32)          // kernel object ID -> scalar args
@@ -79,22 +81,22 @@ func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h wa
 			if c.Program < 0 || c.Program >= len(rec.Programs) {
 				return fmt.Errorf("detsim: call %d: program %d not in recording: %w", i, c.Program, faults.ErrBadRecording)
 			}
-			bins, err := compileCached(rec.Programs[c.Program])
+			cp, err := compileCached(rec.Programs[c.Program], target)
 			if err != nil {
 				return fmt.Errorf("detsim: call %d: %w", i, err)
 			}
-			programs[c.Program] = bins
+			programs[c.Program] = cp
 		case cl.CallCreateKernel:
-			bins, ok := programs[c.Program]
+			cp, ok := programs[c.Program]
 			if !ok {
 				return fmt.Errorf("detsim: call %d: kernel %s of unbuilt program %d: %w", i, c.Kernel, c.Program, faults.ErrBadRecording)
 			}
-			ir := rec.Programs[c.Program].Kernel(c.Kernel)
-			if ir == nil || bins[c.Kernel] == nil {
+			ir := cp.ir.Kernel(c.Kernel)
+			if ir == nil || cp.bins[c.Kernel] == nil {
 				return fmt.Errorf("detsim: call %d: unknown kernel %s: %w", i, c.Kernel, faults.ErrBadRecording)
 			}
 			kernelIR[c.KID] = ir
-			kernelBin[c.KID] = bins[c.Kernel]
+			kernelBin[c.KID] = cp.bins[c.Kernel]
 			kargs[c.KID] = make([]uint32, ir.NumArgs)
 			ksurfs[c.KID] = make([]*device.Buffer, ir.NumSurfaces)
 			ksurfIDs[c.KID] = make([]int, ir.NumSurfaces)
@@ -183,21 +185,30 @@ func walkRecording(rec *cofluent.Recording, buffers map[int]*device.Buffer, h wa
 	return nil
 }
 
-// compileCache memoizes jit.CompileProgram results across Run and
-// Capture calls, keyed by program content (kernel names + executable
-// fingerprints) — the detsim-side analogue of the device's
+// compiled is one recorded program as the simulated driver loads it
+// under an ISA target: the device binaries, and the IR the detailed
+// model interprets — the binaries' own IR once a translator has
+// rewritten them.
+type compiled struct {
+	bins map[string]*jit.Binary
+	ir   *kernel.Program
+}
+
+// compileCache memoizes compiled programs across Run and Capture calls,
+// keyed by program content (kernel names + executable fingerprints)
+// and non-native ISA target — the detsim-side analogue of the device's
 // decoded-binary cache. Compiled binaries are immutable, so entries are
 // shared freely; the map is guarded for the parallel snippet-replay
 // workers, each of which owns a private Simulator but shares this
 // process-wide cache.
 type compileCache struct {
 	mu     sync.RWMutex
-	m      map[string]map[string]*jit.Binary
+	m      map[string]*compiled
 	hits   uint64
 	misses uint64
 }
 
-var progCache = &compileCache{m: make(map[string]map[string]*jit.Binary)}
+var progCache = &compileCache{m: make(map[string]*compiled)}
 
 // programKey content-addresses a program: each kernel's name and
 // executable fingerprint, length-delimited via jit.Key.
@@ -213,35 +224,68 @@ func programKey(p *kernel.Program) (string, error) {
 	return jit.Key(parts...), nil
 }
 
-// compileCached returns the program's compiled binaries, compiling at
-// most once per distinct program content in the process lifetime.
-func compileCached(p *kernel.Program) (map[string]*jit.Binary, error) {
+// compileCached returns the program compiled for the target, compiling
+// at most once per distinct (program content, target) in the process
+// lifetime. It follows the driver's order: retarget the IR, compile,
+// then translate each binary.
+func compileCached(p *kernel.Program, target xlate.Target) (*compiled, error) {
 	key, err := programKey(p)
 	if err != nil {
 		return nil, fmt.Errorf("jit: %w", err)
 	}
+	if !target.IsZero() {
+		key += "|" + target.String()
+	}
 	progCache.mu.RLock()
-	bins, ok := progCache.m[key]
+	cp, ok := progCache.m[key]
 	progCache.mu.RUnlock()
 	if ok {
 		progCache.mu.Lock()
 		progCache.hits++
 		progCache.mu.Unlock()
 		mCompileCacheHits.Inc()
-		return bins, nil
+		return cp, nil
 	}
-	bins, err = jit.CompileProgram(p)
-	if err != nil {
+	if cp, err = compileFor(p, target); err != nil {
 		return nil, err
 	}
 	progCache.mu.Lock()
 	progCache.misses++
 	// Concurrent compilers racing the same key are harmless: the binaries
 	// are a deterministic function of the content address.
-	progCache.m[key] = bins
+	progCache.m[key] = cp
 	progCache.mu.Unlock()
 	mCompileCacheMisses.Inc()
-	return bins, nil
+	return cp, nil
+}
+
+func compileFor(p *kernel.Program, target xlate.Target) (*compiled, error) {
+	if retarget := target.ProgramTransform(); retarget != nil {
+		var err error
+		if p, err = retarget(p); err != nil {
+			return nil, err
+		}
+	}
+	bins, err := jit.CompileProgram(p)
+	if err != nil {
+		return nil, err
+	}
+	translate := target.BinaryTransform()
+	if translate == nil {
+		return &compiled{bins: bins, ir: p}, nil
+	}
+	ir := &kernel.Program{Name: p.Name, Kernels: make([]*kernel.Kernel, len(p.Kernels))}
+	for i, k := range p.Kernels {
+		bin, err := translate(bins[k.Name])
+		if err != nil {
+			return nil, fmt.Errorf("binary transform on kernel %s: %w", k.Name, err)
+		}
+		if ir.Kernels[i], err = jit.Decode(bin); err != nil {
+			return nil, err
+		}
+		bins[k.Name] = bin
+	}
+	return &compiled{bins: bins, ir: ir}, nil
 }
 
 // CompileCacheStats reports the program-compile cache counters:
@@ -257,7 +301,7 @@ func CompileCacheStats() (hits, misses uint64, entries int) {
 // (tests and benchmark baselines).
 func ResetCompileCache() {
 	progCache.mu.Lock()
-	progCache.m = make(map[string]map[string]*jit.Binary)
+	progCache.m = make(map[string]*compiled)
 	progCache.hits, progCache.misses = 0, 0
 	progCache.mu.Unlock()
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"gtpin/internal/faults"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
@@ -21,7 +22,7 @@ import (
 func scriptedRunner(script func(u workloads.Unit, pass int) workloads.Outcome) runner {
 	var mu sync.Mutex
 	pass := 0
-	return func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error) {
+	return func(ctx context.Context, units []workloads.Unit, opts sweep.Options) ([]workloads.Outcome, error) {
 		mu.Lock()
 		p := pass
 		pass++
@@ -51,7 +52,7 @@ func transientErr() error {
 // job still settles done.
 func TestRetryPassRecoversTransientFailure(t *testing.T) {
 	s := newTestServer(t, Config{JobWorkers: 1, MaxRetryPasses: 2})
-	s.runPool = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
+	s.run = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
 		if pass == 0 && u.TrialSeed == 2 {
 			return workloads.Outcome{Err: transientErr(), Attempts: 3}
 		}
@@ -88,7 +89,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	calls := 0
 	var mu sync.Mutex
 	s := newTestServer(t, Config{JobWorkers: 1, MaxRetryPasses: 3})
-	s.runPool = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
+	s.run = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -121,7 +122,7 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 // settles partial.
 func TestBreakerDegradesToPartial(t *testing.T) {
 	s := newTestServer(t, Config{JobWorkers: 1, BreakerThreshold: 3, MaxRetryPasses: -1})
-	s.runPool = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
+	s.run = scriptedRunner(func(u workloads.Unit, pass int) workloads.Outcome {
 		if u.TrialSeed <= 2 {
 			return workloads.Outcome{Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
 		}

@@ -9,41 +9,14 @@ import (
 	"time"
 
 	"gtpin/internal/faults"
-	"gtpin/internal/fleet"
 	"gtpin/internal/runstate"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
-// runner is the pool entry point, injected so tests can script unit
-// outcomes without running the real pipeline.
-type runner func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error)
-
-// fleetRunner is the fleet coordinator entry point, injected the same
-// way.
-type fleetRunner func(ctx context.Context, units []workloads.Unit, opts fleet.Options) ([]workloads.Outcome, error)
-
-// fleetAdapter wraps the fleet coordinator in the pool's runner shape so
-// runJob's retry-pass loop drives distributed jobs unchanged: each pass
-// leases its pending units across Spec.Fleet worker processes (spawned
-// by re-executing this binary) and the merged outcomes come back in the
-// same order and byte-for-byte form the in-process pool would produce.
-func (s *Server) fleetAdapter(j *Job) runner {
-	return func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error) {
-		return s.runFleet(ctx, units, fleet.Options{
-			Dir:            filepath.Join(j.dir, "fleet"),
-			State:          opts.State,
-			Resume:         opts.Resume,
-			Workers:        j.Spec.Fleet,
-			MaxRestarts:    opts.MaxRestarts,
-			UnitTimeout:    opts.UnitTimeout,
-			SaveRecordings: opts.SaveRecordings,
-			OnOutcome:      opts.OnOutcome,
-			Logf: func(format string, args ...any) {
-				s.cfg.Logf("gtpind: job "+j.ID+": "+format, args...)
-			},
-		})
-	}
-}
+// runner is the sweep entry point (sweep.Run), injected so tests can
+// script unit outcomes without running the real pipeline.
+type runner func(ctx context.Context, units []workloads.Unit, opts sweep.Options) ([]workloads.Outcome, error)
 
 // executeJob drives one popped job to rest. Every error settles into a
 // terminal job state — workers never die with their job — with one
@@ -116,10 +89,11 @@ func suffixIf(errText string) string {
 // job to partial results. It returns the terminal state the job earned;
 // the caller overrides it for cancellation/shutdown/deadline.
 func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
-	units, err := j.Spec.units(j.Spec.faultOptions())
+	spec, err := j.Spec.sweep()
 	if err != nil {
 		return StateFailed, err.Error()
 	}
+	units := spec.Units()
 	j.mutateProgress(func(p *Progress) { p.UnitsTotal = len(units) })
 
 	sd, err := runstate.OpenDir(filepath.Join(j.dir, "state"))
@@ -134,11 +108,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 	br := newBreaker(s.cfg.BreakerThreshold)
 	backoff := Backoff{Base: s.cfg.RetryBase, Cap: s.cfg.RetryCap}
 
-	run := s.runPool
-	if j.Spec.Fleet > 0 {
-		run = s.fleetAdapter(j)
-	}
-
 	final := make([]workloads.Outcome, len(units))
 	pending := make([]int, len(units))
 	for i := range pending {
@@ -151,27 +120,38 @@ func (s *Server) runJob(ctx context.Context, j *Job) (State, string) {
 			passUnits[k] = units[idx]
 		}
 		pctx, pcancel := context.WithCancel(ctx)
-		outs, perr := run(pctx, passUnits, workloads.PoolOptions{
-			State:          sd,
-			Resume:         pass == 0 && hasJournal,
-			MaxRestarts:    s.cfg.MaxRestarts,
-			SaveRecordings: j.Spec.Kind == KindRepro,
-			Workers:        s.cfg.UnitWorkers,
-			UnitTimeout:    s.cfg.UnitTimeout,
-			OnOutcome: func(o workloads.Outcome) {
-				j.noteOutcome(o)
-				if o.Err == nil && !o.Resumed && o.WallNs > 0 {
-					s.lat.observe(o.WallNs)
-				}
-				// Cancellation is not a unit failure; everything else
-				// (including abandonment) feeds the breaker.
-				failed := o.Err != nil && !errors.Is(o.Err, context.Canceled)
-				if br.observe(failed) {
-					mBreakerTrips.Inc()
-					s.cfg.Logf("gtpind: job %s: breaker tripped after %d consecutive failures; degrading to partial",
-						j.ID, s.cfg.BreakerThreshold)
-					pcancel()
-				}
+		// A fleet job leases each pass's pending units across Spec.Fleet
+		// worker processes (re-executions of this binary), scratch dir
+		// <job>/fleet; the merged outcomes are byte-for-byte what the
+		// in-process pool would produce.
+		outs, perr := s.run(pctx, passUnits, sweep.Options{
+			Fleet:    spec.Fleet,
+			FleetDir: filepath.Join(j.dir, "fleet"),
+			Logf: func(format string, args ...any) {
+				s.cfg.Logf("gtpind: job "+j.ID+": "+format, args...)
+			},
+			PoolOptions: workloads.PoolOptions{
+				State:          sd,
+				Resume:         pass == 0 && hasJournal,
+				MaxRestarts:    s.cfg.MaxRestarts,
+				SaveRecordings: j.Spec.Kind == KindRepro,
+				Workers:        s.cfg.UnitWorkers,
+				UnitTimeout:    s.cfg.UnitTimeout,
+				OnOutcome: func(o workloads.Outcome) {
+					j.noteOutcome(o)
+					if o.Err == nil && !o.Resumed && o.WallNs > 0 {
+						s.lat.observe(o.WallNs)
+					}
+					// Cancellation is not a unit failure; everything else
+					// (including abandonment) feeds the breaker.
+					failed := o.Err != nil && !errors.Is(o.Err, context.Canceled)
+					if br.observe(failed) {
+						mBreakerTrips.Inc()
+						s.cfg.Logf("gtpind: job %s: breaker tripped after %d consecutive failures; degrading to partial",
+							j.ID, s.cfg.BreakerThreshold)
+						pcancel()
+					}
+				},
 			},
 		})
 		pcancel()

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"gtpin/internal/fleet"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
@@ -82,7 +82,7 @@ func TestRetryAfterAdaptiveOn429(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	s := newTestServer(t, Config{JobWorkers: 1, QueueCap: 1})
-	s.runPool = blockingRunner(release)
+	s.run = blockingRunner(release)
 	s.lat.observe(int64(7 * time.Second))
 
 	// One job runs (blocked), one fills the queue, the third sheds.
@@ -107,7 +107,7 @@ func TestRetryAfterAdaptiveOn429(t *testing.T) {
 // not.
 func TestLatencyFedFromOutcomes(t *testing.T) {
 	s := newTestServer(t, Config{JobWorkers: 1, QueueCap: 4})
-	s.runPool = func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error) {
+	s.run = func(ctx context.Context, units []workloads.Unit, opts sweep.Options) ([]workloads.Outcome, error) {
 		outs := make([]workloads.Outcome, len(units))
 		for i, u := range units {
 			outs[i] = workloads.Outcome{
@@ -130,16 +130,18 @@ func TestLatencyFedFromOutcomes(t *testing.T) {
 	}
 }
 
-// TestFleetJobUsesFleetRunner: a spec with "fleet": N routes execution
-// through the fleet coordinator with N workers and the job's own fleet
-// scratch dir, while a plain spec never touches it.
+// TestFleetJobUsesFleetRunner: a spec with "fleet": N asks the sweep
+// runner for N fleet workers under the job's own fleet scratch dir,
+// while a plain spec stays on the in-process pool.
 func TestFleetJobUsesFleetRunner(t *testing.T) {
 	s := newTestServer(t, Config{JobWorkers: 1, QueueCap: 4})
-	var gotOpts fleet.Options
+	var gotOpts sweep.Options
 	calls := 0
-	s.runFleet = func(ctx context.Context, units []workloads.Unit, opts fleet.Options) ([]workloads.Outcome, error) {
-		calls++
-		gotOpts = opts
+	s.run = func(ctx context.Context, units []workloads.Unit, opts sweep.Options) ([]workloads.Outcome, error) {
+		if opts.Fleet > 0 {
+			calls++
+			gotOpts = opts
+		}
 		outs := make([]workloads.Outcome, len(units))
 		for i, u := range units {
 			outs[i] = workloads.Outcome{Unit: u, Artifact: &workloads.Artifact{App: u.Spec.Name}, Attempts: 1}
@@ -158,11 +160,11 @@ func TestFleetJobUsesFleetRunner(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("fleet runner called %d times, want 1", calls)
 	}
-	if gotOpts.Workers != 3 {
-		t.Fatalf("fleet Workers = %d, want 3", gotOpts.Workers)
+	if gotOpts.Fleet != 3 {
+		t.Fatalf("fleet workers = %d, want 3", gotOpts.Fleet)
 	}
-	if want := filepath.Join(s.jobDir("f1"), "fleet"); gotOpts.Dir != want {
-		t.Fatalf("fleet Dir = %q, want %q", gotOpts.Dir, want)
+	if want := filepath.Join(s.jobDir("f1"), "fleet"); gotOpts.FleetDir != want {
+		t.Fatalf("fleet Dir = %q, want %q", gotOpts.FleetDir, want)
 	}
 	if gotOpts.State == nil {
 		t.Fatal("fleet run not wired to the job's state dir")

@@ -7,9 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 
-	"gtpin/internal/device"
-	"gtpin/internal/faults"
 	"gtpin/internal/runstate"
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
@@ -114,9 +113,6 @@ func (sp *JobSpec) Validate() error {
 	if sp.Scale == "" {
 		sp.Scale = "tiny"
 	}
-	if _, err := parseScale(sp.Scale); err != nil {
-		return err
-	}
 	if sp.Trials == 0 {
 		sp.Trials = 1
 	}
@@ -126,13 +122,8 @@ func (sp *JobSpec) Validate() error {
 	if sp.Config == "" {
 		sp.Config = "hd4000"
 	}
-	if _, err := parseConfig(sp.Config); err != nil {
+	if _, err := sp.sweep(); err != nil {
 		return err
-	}
-	for _, name := range sp.Apps {
-		if _, err := workloads.ByName(name); err != nil {
-			return err
-		}
 	}
 	if sp.FaultRate < 0 || sp.FaultRate > 1 {
 		return fmt.Errorf("fault_rate %v outside [0,1]", sp.FaultRate)
@@ -146,60 +137,28 @@ func (sp *JobSpec) Validate() error {
 	return nil
 }
 
-func parseScale(s string) (workloads.Scale, error) {
-	switch s {
-	case "full":
-		return workloads.ScaleFull, nil
-	case "small":
-		return workloads.ScaleSmall, nil
-	case "tiny":
-		return workloads.ScaleTiny, nil
-	}
-	return workloads.Scale{}, fmt.Errorf("unknown scale %q (want full, small, or tiny)", s)
-}
-
-func parseConfig(s string) (device.Config, error) {
-	switch s {
-	case "hd4000":
-		return device.IvyBridgeHD4000(), nil
-	case "hd4600":
-		return device.HaswellHD4600(), nil
-	}
-	return device.Config{}, fmt.Errorf("unknown config %q (want hd4000 or hd4600)", s)
-}
-
-// units expands the spec into the pool's work list: apps × trials under
-// the effective fault model. The order is canonical (roster order, then
-// trial), which is what makes result.json deterministic.
-func (sp *JobSpec) units(fo *workloads.FaultOptions) ([]workloads.Unit, error) {
-	sc, err := parseScale(sp.Scale)
+// sweep is the sweep the (validated, policy-folded) spec describes:
+// apps × trials under the spec's fault model, in canonical order (app
+// list order, then trial), which is what makes result.json
+// deterministic.
+func (sp *JobSpec) sweep() (*sweep.Spec, error) {
+	sc, err := sweep.ParseScale(sp.Scale)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := parseConfig(sp.Config)
+	cfg, err := sweep.ParseConfig(sp.Config)
 	if err != nil {
 		return nil, err
 	}
-	specs := workloads.All()
-	if len(sp.Apps) > 0 {
-		specs = specs[:0:0]
-		for _, name := range sp.Apps {
-			spec, err := workloads.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			specs = append(specs, spec)
-		}
+	apps, err := sweep.ParseApps(sp.Apps)
+	if err != nil {
+		return nil, err
 	}
-	units := make([]workloads.Unit, 0, len(specs)*sp.Trials)
-	for trial := 1; trial <= sp.Trials; trial++ {
-		for _, spec := range specs {
-			units = append(units, workloads.Unit{
-				Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: int64(trial), Faults: fo,
-			})
-		}
-	}
-	return units, nil
+	return &sweep.Spec{
+		Apps: apps, Scale: sc, Config: cfg, Trials: sp.Trials,
+		Faults: sweep.FaultOptions(sp.FaultRate, sp.FaultSeed, sp.Watchdog),
+		Fleet:  sp.Fleet,
+	}, nil
 }
 
 // applyPolicy folds the tenant policy into the spec at admission time:
@@ -211,19 +170,6 @@ func (sp *JobSpec) units(fo *workloads.FaultOptions) ([]workloads.Unit, error) {
 func (sp *JobSpec) applyPolicy(p Policy) {
 	if p.FaultRate > 0 || p.Watchdog > 0 {
 		sp.FaultRate, sp.FaultSeed, sp.Watchdog = p.FaultRate, p.FaultSeed, p.Watchdog
-	}
-}
-
-// faultOptions builds the pool fault model from the (policy-folded)
-// spec; nil when the job runs clean.
-func (sp *JobSpec) faultOptions() *workloads.FaultOptions {
-	if sp.FaultRate == 0 && sp.Watchdog == 0 {
-		return nil
-	}
-	return &workloads.FaultOptions{
-		Rates:    faults.Uniform(sp.FaultRate),
-		Seed:     sp.FaultSeed,
-		Watchdog: sp.Watchdog,
 	}
 }
 

@@ -45,10 +45,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gtpin/internal/fleet"
 	"gtpin/internal/obs"
 	"gtpin/internal/runstate"
-	"gtpin/internal/workloads"
+	"gtpin/internal/sweep"
 )
 
 // Defaults for Config fields left zero.
@@ -176,10 +175,9 @@ type Server struct {
 	jobs  map[string]*Job
 	order []string // submission/recovery order, for deterministic listing
 
-	queue    *queue
-	runPool  runner      // workloads.RunPool, replaceable by tests
-	runFleet fleetRunner // fleet.Run, replaceable by tests
-	lat      latencyTracker
+	queue *queue
+	run   runner // sweep.Run, replaceable by tests
+	lat   latencyTracker
 
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -214,8 +212,7 @@ func New(cfg Config) (*Server, error) {
 		lock:       lock,
 		jobs:       make(map[string]*Job),
 		queue:      newQueue(c.QueueCap),
-		runPool:    workloads.RunPool,
-		runFleet:   fleet.Run,
+		run:        sweep.Run,
 		jobCtx:     ctx,
 		cancelJobs: cancel,
 	}

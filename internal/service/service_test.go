@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"gtpin/internal/sweep"
 	"gtpin/internal/workloads"
 )
 
@@ -101,7 +102,7 @@ func waitState(t *testing.T, j *Job, want State) {
 // is closed (or the pool context dies), then reports success for every
 // unit. It lets tests hold a job "running" deterministically.
 func blockingRunner(release <-chan struct{}) runner {
-	return func(ctx context.Context, units []workloads.Unit, opts workloads.PoolOptions) ([]workloads.Outcome, error) {
+	return func(ctx context.Context, units []workloads.Unit, opts sweep.Options) ([]workloads.Outcome, error) {
 		select {
 		case <-release:
 		case <-ctx.Done():
@@ -225,7 +226,7 @@ func contains(ss []string, want string) bool {
 func TestQueueFullSheds429(t *testing.T) {
 	release := make(chan struct{})
 	s := newTestServer(t, Config{QueueCap: 1, JobWorkers: 1})
-	s.runPool = blockingRunner(release)
+	s.run = blockingRunner(release)
 
 	submit := func(id string) *http.Response {
 		return postJob(t, s, fmt.Sprintf(`{"id":%q,"kind":"subsets","apps":["cb-gaussian-buffer"]}`, id), "")
@@ -280,7 +281,7 @@ func TestTenantPolicies(t *testing.T) {
 			"key-alice": {Name: "alice", Policy: Policy{FaultRate: 0.5, FaultSeed: 9, MaxQueued: 1}},
 		}),
 	})
-	s.runPool = blockingRunner(release)
+	s.run = blockingRunner(release)
 
 	// No key, or an unknown key: 401.
 	r := postJob(t, s, `{"id":"a1","kind":"characterize","apps":["cb-gaussian-buffer"]}`, "")
@@ -356,7 +357,7 @@ func TestDrainOrderingAndRequeue(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	s.runPool = blockingRunner(release)
+	s.run = blockingRunner(release)
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -409,7 +410,7 @@ func TestDrainOrderingAndRequeue(t *testing.T) {
 func TestCancel(t *testing.T) {
 	release := make(chan struct{})
 	s := newTestServer(t, Config{JobWorkers: 1, QueueCap: 4})
-	s.runPool = blockingRunner(release)
+	s.run = blockingRunner(release)
 
 	for _, id := range []string{"c1", "c2"} {
 		r := postJob(t, s, fmt.Sprintf(`{"id":%q,"kind":"characterize","apps":["cb-gaussian-buffer"]}`, id), "")

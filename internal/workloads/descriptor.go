@@ -6,6 +6,7 @@ import (
 
 	"gtpin/internal/device"
 	"gtpin/internal/faults"
+	"gtpin/internal/xlate"
 )
 
 // UnitDescriptor is the self-contained, serializable form of a Unit —
@@ -23,6 +24,9 @@ type UnitDescriptor struct {
 	Cfg       device.Config    `json:"config"`
 	TrialSeed int64            `json:"trial_seed"`
 	Faults    *FaultDescriptor `json:"faults,omitempty"`
+	// Target's fields are flattened and omitted when empty, so a
+	// native unit's descriptor bytes carry no target at all.
+	xlate.Target
 }
 
 // FaultDescriptor is the serializable subset of FaultOptions. The
@@ -44,6 +48,7 @@ func (u Unit) Descriptor() (UnitDescriptor, error) {
 		Scale:     u.Scale,
 		Cfg:       u.Cfg,
 		TrialSeed: u.TrialSeed,
+		Target:    u.Target,
 	}
 	if u.Faults != nil {
 		if u.Faults.Resilience != nil {
@@ -66,7 +71,7 @@ func (d UnitDescriptor) Unit() (Unit, error) {
 	if err != nil {
 		return Unit{}, fmt.Errorf("workloads: descriptor: %w", err)
 	}
-	u := Unit{Spec: spec, Scale: d.Scale, Cfg: d.Cfg, TrialSeed: d.TrialSeed}
+	u := Unit{Spec: spec, Scale: d.Scale, Cfg: d.Cfg, TrialSeed: d.TrialSeed, Target: d.Target}
 	if d.Faults != nil {
 		u.Faults = &FaultOptions{
 			Rates:    d.Faults.Rates,
@@ -85,8 +90,7 @@ func (d UnitDescriptor) Key() string {
 	if d.Faults != nil {
 		fo = &FaultOptions{Rates: d.Faults.Rates, Seed: d.Faults.Seed, Watchdog: d.Faults.Watchdog}
 	}
-	return fmt.Sprintf("%s|%s@%dMHz|%s|t%d|%s",
-		d.App, d.Cfg.Name, d.Cfg.FreqMHz, d.Scale.Name, d.TrialSeed, faultSig(fo))
+	return unitKey(d.App, d.Cfg, d.Scale, d.TrialSeed, fo, d.Target)
 }
 
 // Encode serializes the descriptor canonically.

@@ -16,6 +16,7 @@ import (
 	"gtpin/internal/device"
 	"gtpin/internal/isa"
 	"gtpin/internal/kernel"
+	"gtpin/internal/xlate"
 )
 
 // luxScene builds the render program: a primary-ray pass, a shading
@@ -28,10 +29,10 @@ func luxScene() (*kernel.Program, error) {
 }
 
 // LuxMarkScore renders the benchmark scene on the given device
-// configuration and returns its score: kilo-samples per modelled GPU
-// second (higher is better). The workload is fixed, so scores are
-// comparable across configurations.
-func LuxMarkScore(cfg device.Config) (float64, error) {
+// configuration and ISA target and returns its score: kilo-samples per
+// modelled GPU second (higher is better). The workload is fixed, so
+// scores are comparable across configurations.
+func LuxMarkScore(cfg device.Config, target xlate.Target) (float64, error) {
 	prog, err := luxScene()
 	if err != nil {
 		return 0, err
@@ -41,6 +42,7 @@ func LuxMarkScore(cfg device.Config) (float64, error) {
 		return 0, err
 	}
 	ctx := cl.NewContext(dev)
+	target.Apply(ctx)
 	tr := cofluent.Attach(ctx)
 	h := newHost(ctx)
 

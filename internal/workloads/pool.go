@@ -12,6 +12,7 @@ import (
 	"gtpin/internal/faults"
 	"gtpin/internal/par"
 	"gtpin/internal/runstate"
+	"gtpin/internal/xlate"
 )
 
 // Supervision defaults: panicked or transiently-failed units are
@@ -26,22 +27,34 @@ const (
 
 // Unit is one schedulable work item of a characterization sweep: an
 // application profiled on one device configuration at one scale, with
-// one trial seed and one fault model. Its Key identifies it across
-// processes, which is what lets a resumed sweep recognize work the
-// previous run completed.
+// one trial seed, one fault model and one ISA target. Its Key
+// identifies it across processes, which is what lets a resumed sweep
+// recognize work the previous run completed.
 type Unit struct {
 	Spec      *Spec
 	Scale     Scale
 	Cfg       device.Config
 	TrialSeed int64
 	Faults    *FaultOptions
+	// Target is the ISA target every cl context of the unit's pipeline
+	// compiles for; the zero value runs the workload as authored.
+	Target xlate.Target
 }
 
 // Key returns the stable journal identity of the unit:
-// app|device@freq|scale|trial|fault-signature.
+// app|device@freq|scale|trial|fault-signature, plus |target for a
+// non-native ISA target (so native keys, and the journals holding
+// them, are unchanged).
 func (u Unit) Key() string {
-	return fmt.Sprintf("%s|%s@%dMHz|%s|t%d|%s",
-		u.Spec.Name, u.Cfg.Name, u.Cfg.FreqMHz, u.Scale.Name, u.TrialSeed, faultSig(u.Faults))
+	return unitKey(u.Spec.Name, u.Cfg, u.Scale, u.TrialSeed, u.Faults, u.Target)
+}
+
+func unitKey(app string, cfg device.Config, sc Scale, trial int64, fo *FaultOptions, t xlate.Target) string {
+	key := fmt.Sprintf("%s|%s@%dMHz|%s|t%d|%s", app, cfg.Name, cfg.FreqMHz, sc.Name, trial, faultSig(fo))
+	if !t.IsZero() {
+		key += "|" + t.String()
+	}
+	return key
 }
 
 // faultSig folds the fault model into the unit key, so a sweep rerun
@@ -337,7 +350,7 @@ func runSupervised(u Unit, attempt int, rc *ReplayCache) (res *Result, err error
 	if hook := poolTestHook.Load(); hook != nil {
 		(*hook)(u, attempt)
 	}
-	return runPipeline(u.Spec, u.Scale, u.Cfg, u.TrialSeed, u.Faults, rc)
+	return runPipeline(u, rc)
 }
 
 // restartable reports whether the supervision budget applies: recovered

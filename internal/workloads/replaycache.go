@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"gtpin/internal/cofluent"
-	"gtpin/internal/device"
 	"gtpin/internal/faults"
 	"gtpin/internal/gtpin"
 )
@@ -78,11 +77,15 @@ func (rc *ReplayCache) Stats() ReplayCacheStats {
 
 // replayKey identifies one replay configuration. The trial seed is
 // absent by design: it must never influence the replay phase, and the
-// cache is what enforces that economy.
-func replayKey(spec *Spec, sc Scale, cfg device.Config, fo *FaultOptions) string {
-	key := fmt.Sprintf("%s|%+v|%+v|%s", spec.Name, cfg, sc, faultSig(fo))
+// cache is what enforces that economy. A non-native ISA target is
+// appended, so native keys are unchanged.
+func replayKey(u Unit, fo *FaultOptions) string {
+	key := fmt.Sprintf("%s|%+v|%+v|%s", u.Spec.Name, u.Cfg, u.Scale, faultSig(fo))
 	if fo != nil && fo.Resilience != nil {
 		key += fmt.Sprintf("|%+v", *fo.Resilience)
+	}
+	if !u.Target.IsZero() {
+		key += "|" + u.Target.String()
 	}
 	return key
 }

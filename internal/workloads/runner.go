@@ -11,6 +11,7 @@ import (
 	"gtpin/internal/gtpin"
 	"gtpin/internal/obs"
 	"gtpin/internal/profile"
+	"gtpin/internal/xlate"
 )
 
 // JitterSigma is the relative timing noise applied to timed runs,
@@ -110,14 +111,17 @@ func Run(spec *Spec, sc Scale, cfg device.Config, trialSeed int64) (*Result, err
 // fault injection, the kernel watchdog, and the resilience policy for
 // both pipeline phases. A nil fo is identical to Run.
 func RunWithFaults(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *FaultOptions) (*Result, error) {
-	return runPipeline(spec, sc, cfg, trialSeed, fo, nil)
+	return runPipeline(Unit{Spec: spec, Scale: sc, Cfg: cfg, TrialSeed: trialSeed, Faults: fo}, nil)
 }
 
-// runPipeline is the pipeline with an optional replay cache: when rc is
-// non-nil, the instrumented-replay phase is satisfied from the cache
-// for every unit after the first that shares this (app, scale, device,
-// fault model) configuration — see ReplayCache for why that is exact.
-func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *FaultOptions, rc *ReplayCache) (*Result, error) {
+// runPipeline is the unit's pipeline with an optional replay cache:
+// when rc is non-nil, the instrumented-replay phase is satisfied from
+// the cache for every unit after the first that shares this (app,
+// scale, device, fault model, ISA target) configuration — see
+// ReplayCache for why that is exact. The unit's ISA target is applied
+// to every cl context the pipeline creates.
+func runPipeline(u Unit, rc *ReplayCache) (*Result, error) {
+	spec, cfg, fo := u.Spec, u.Cfg, u.Faults
 	tracer := obs.ActiveTracer()
 	var phaseStart time.Time
 	if tracer != nil {
@@ -126,33 +130,6 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 
 	// Step 1: native timed run under CoFluent. jitter == nil records the
 	// unjittered base times for the memoized path.
-	native := func(jitter *device.TimingJitter) (*App, *cofluent.Recording, *cofluent.Tracer, *faults.Injector, error) {
-		app, err := spec.Build(sc)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: build %s: %w", spec.Name, err)
-		}
-		dev, err := device.New(cfg)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
-		}
-		dev.SetJitter(jitter)
-		natInj, err := fo.arm(dev, spec.Name, "native")
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
-		}
-		ctx := cl.NewContext(dev)
-		fo.apply(ctx)
-		tr := cofluent.Attach(ctx)
-		if err := app.Run(ctx); err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: run %s: %w", spec.Name, err)
-		}
-		rec, err := cofluent.Record(spec.Name, tr, app.Programs)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("workloads: record %s: %w", spec.Name, err)
-		}
-		return app, rec, tr, natInj, nil
-	}
-
 	var (
 		app    *App
 		rec    *cofluent.Recording
@@ -167,8 +144,8 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 		// run, which TestPoolReplayCacheByteIdentical enforces. Fault
 		// models stay on the live path: their retries consume jitter
 		// draws the tracer never sees.
-		e, err := rc.doNative(replayKey(spec, sc, cfg, nil), func() (*nativeEntry, error) {
-			app, rec, base, _, err := native(nil)
+		e, err := rc.doNative(replayKey(u, nil), func() (*nativeEntry, error) {
+			app, rec, base, _, err := u.record(nil, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -178,10 +155,10 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 			return nil, err
 		}
 		app, rec = e.app, e.rec
-		tr = e.tracer.PerturbTimes(device.NewTimingJitter(trialSeed, JitterSigma))
+		tr = e.tracer.PerturbTimes(device.NewTimingJitter(u.TrialSeed, JitterSigma))
 	} else {
 		var err error
-		app, rec, tr, natInj, err = native(device.NewTimingJitter(trialSeed, JitterSigma))
+		app, rec, tr, natInj, err = u.record(device.NewTimingJitter(u.TrialSeed, JitterSigma), fo)
 		if err != nil {
 			return nil, err
 		}
@@ -206,6 +183,7 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 		}
 		var g *gtpin.GTPin
 		if _, err := rec.Replay(idev, func(rctx *cl.Context) error {
+			u.Target.Apply(rctx)
 			fo.apply(rctx)
 			var aerr error
 			g, aerr = gtpin.Attach(rctx, gtpin.Options{})
@@ -221,7 +199,7 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 		err error
 	)
 	if rc != nil {
-		g, rst, err = rc.do(replayKey(spec, sc, cfg, fo), replay)
+		g, rst, err = rc.do(replayKey(u, fo), replay)
 	} else {
 		g, rst, err = replay()
 	}
@@ -245,43 +223,70 @@ func runPipeline(spec *Spec, sc Scale, cfg device.Config, trialSeed int64, fo *F
 	return &Result{App: app, Recording: rec, Tracer: tr, GTPin: g, Profile: p, FaultStats: st}, nil
 }
 
-// Record runs the application natively once, without timing jitter, and
-// returns just its CoFluent recording — the replayable call stream
-// detsim and snippet capture consume. Recordings are jitter-independent
-// (jitter perturbs reported times, never the call stream), so one
-// unjittered run yields the same recording any trial would.
-func Record(spec *Spec, sc Scale, cfg device.Config) (*cofluent.Recording, error) {
-	app, err := spec.Build(sc)
+// record runs the application natively under CoFluent on the unit's
+// device and ISA target, with the given timing jitter (nil runs
+// unjittered) and fault model. The recording keeps the IR the driver
+// actually compiled, so replays and detsim see the retargeted code.
+func (u Unit) record(jitter *device.TimingJitter, fo *FaultOptions) (*App, *cofluent.Recording, *cofluent.Tracer, *faults.Injector, error) {
+	name := u.Spec.Name
+	app, err := u.Spec.Build(u.Scale)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: build %s: %w", spec.Name, err)
+		return nil, nil, nil, nil, fmt.Errorf("workloads: build %s: %w", name, err)
 	}
-	dev, err := device.New(cfg)
+	dev, err := device.New(u.Cfg)
 	if err != nil {
-		return nil, fmt.Errorf("workloads: %s: %w", spec.Name, err)
+		return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", name, err)
+	}
+	dev.SetJitter(jitter)
+	inj, err := fo.arm(dev, name, "native")
+	if err != nil {
+		return nil, nil, nil, nil, fmt.Errorf("workloads: %s: %w", name, err)
 	}
 	ctx := cl.NewContext(dev)
+	u.Target.Apply(ctx)
+	fo.apply(ctx)
 	tr := cofluent.Attach(ctx)
 	if err := app.Run(ctx); err != nil {
-		return nil, fmt.Errorf("workloads: run %s: %w", spec.Name, err)
+		return nil, nil, nil, nil, fmt.Errorf("workloads: run %s: %w", name, err)
 	}
-	rec, err := cofluent.Record(spec.Name, tr, app.Programs)
+	rec, err := cofluent.Record(name, tr, ctx.ProgramIRs())
 	if err != nil {
-		return nil, fmt.Errorf("workloads: record %s: %w", spec.Name, err)
+		return nil, nil, nil, nil, fmt.Errorf("workloads: record %s: %w", name, err)
 	}
-	return rec, nil
+	return app, rec, tr, inj, nil
+}
+
+// Record runs the unit's application natively once, without timing
+// jitter or faults, and returns just its CoFluent recording — the
+// replayable call stream detsim and snippet capture consume.
+// Recordings are jitter-independent (jitter perturbs reported times,
+// never the call stream), so one unjittered run yields the same
+// recording any trial would.
+func (u Unit) Record() (*cofluent.Recording, error) {
+	_, rec, _, _, err := u.record(nil, nil)
+	return rec, err
+}
+
+// Record is Unit.Record for a native-target unit.
+func Record(spec *Spec, sc Scale, cfg device.Config) (*cofluent.Recording, error) {
+	return Unit{Spec: spec, Scale: sc, Cfg: cfg}.Record()
 }
 
 // TimedReplay re-executes a recording without instrumentation on the
-// given device configuration and returns per-invocation times — a new
-// trial (different seed), frequency, or architecture generation for the
-// Section V-E validations.
-func TimedReplay(rec *cofluent.Recording, cfg device.Config, trialSeed int64) ([]float64, error) {
+// given device configuration and ISA target and returns per-invocation
+// times — a new trial (different seed), frequency, or architecture
+// generation for the Section V-E validations.
+func TimedReplay(rec *cofluent.Recording, cfg device.Config, trialSeed int64, target xlate.Target) ([]float64, error) {
 	dev, err := device.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	dev.SetJitter(device.NewTimingJitter(trialSeed, JitterSigma))
-	tr, err := rec.Replay(dev, nil)
+	var setup func(*cl.Context) error
+	if !target.IsZero() {
+		setup = func(ctx *cl.Context) error { target.Apply(ctx); return nil }
+	}
+	tr, err := rec.Replay(dev, setup)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"gtpin/internal/device"
 	"gtpin/internal/selection"
+	"gtpin/internal/xlate"
 )
 
 // TestRunPipelineDeterministic: the full profiling pipeline (plain run +
@@ -57,7 +58,7 @@ func TestTimedReplayMatchesInvocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, err := TimedReplay(res.Recording, device.IvyBridgeHD4000(), 2)
+	times, err := TimedReplay(res.Recording, device.IvyBridgeHD4000(), 2, xlate.Target{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +83,11 @@ func TestCrossFrequencyReplaySlowsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := TimedReplay(res.Recording, device.IvyBridgeHD4000(), 1)
+	fast, err := TimedReplay(res.Recording, device.IvyBridgeHD4000(), 1, xlate.Target{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := TimedReplay(res.Recording, device.IvyBridgeHD4000().WithFrequency(350), 1)
+	slow, err := TimedReplay(res.Recording, device.IvyBridgeHD4000().WithFrequency(350), 1, xlate.Target{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestSelectionTransfersToHaswell(t *testing.T) {
 		t.Fatal(err)
 	}
 	best := selection.MinError(evals)
-	times, err := TimedReplay(res.Recording, device.HaswellHD4600(), 1)
+	times, err := TimedReplay(res.Recording, device.HaswellHD4600(), 1, xlate.Target{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +139,11 @@ func TestSelectionTransfersToHaswell(t *testing.T) {
 // TestLuxMarkScoresFavorHaswell reproduces the paper's raw-performance
 // sanity check (HD4000: 269 vs HD4600: 351 — a 1.30x ratio).
 func TestLuxMarkScoresFavorHaswell(t *testing.T) {
-	ivb, err := LuxMarkScore(device.IvyBridgeHD4000())
+	ivb, err := LuxMarkScore(device.IvyBridgeHD4000(), xlate.Target{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hsw, err := LuxMarkScore(device.HaswellHD4600())
+	hsw, err := LuxMarkScore(device.HaswellHD4600(), xlate.Target{})
 	if err != nil {
 		t.Fatal(err)
 	}

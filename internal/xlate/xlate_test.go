@@ -24,11 +24,18 @@ import (
 // when instrument is set. Surface 0 is seeded input, surface 1 output.
 func runProgram(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, instrument bool) ([]byte, []*gtpin.InvocationRecord) {
 	t.Helper()
+	return runTargeted(t, p, steps, instrument, Target{})
+}
+
+// runTargeted is runProgram on a context compiling for target.
+func runTargeted(t *testing.T, p *kernel.Program, steps []testgen.DriverStep, instrument bool, target Target) ([]byte, []*gtpin.InvocationRecord) {
+	t.Helper()
 	dev, err := device.New(device.IvyBridgeHD4000())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := cl.NewContext(dev)
+	target.Apply(ctx)
 	var g *gtpin.GTPin
 	if instrument {
 		g, err = gtpin.Attach(ctx, gtpin.Options{MemTrace: true, DisableCache: true})
@@ -474,9 +481,9 @@ func TestUntranslatableCases(t *testing.T) {
 	}
 }
 
-// TestDriverTransformsEndToEnd wires the process-default transforms the
-// way the -dialect/-translate flags do and checks results survive the
-// full native-vs-retargeted-vs-translated-back loop.
+// TestDriverTransformsEndToEnd applies the per-context target the way
+// the -dialect/-translate flags do and checks results survive the full
+// native-vs-retargeted-vs-translated-back loop.
 func TestDriverTransformsEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := testgen.Program(rng, "e2e", testgen.DefaultConfig())
@@ -485,18 +492,13 @@ func TestDriverTransformsEndToEnd(t *testing.T) {
 	native, _ := runProgram(t, p, steps, false)
 
 	// -dialect genx: the workload behaves as if authored for GENX.
-	cl.SetDefaultProgramTransform(func(ir *kernel.Program) (*kernel.Program, error) {
-		return RetargetProgram(ir, isa.DialectGENX)
-	})
 	// -translate gen: every compiled binary is translated back to GEN
 	// below the instrumentation layer.
-	cl.SetDefaultBinaryTransform(func(bin *jit.Binary) (*jit.Binary, error) {
-		return TranslateBinary(bin, isa.DialectGEN)
-	})
-	defer cl.SetDefaultProgramTransform(nil)
-	defer cl.SetDefaultBinaryTransform(nil)
-
-	transformed, recs := runProgram(t, p, steps, true)
+	target, err := ParseTarget("genx", "gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	transformed, recs := runTargeted(t, p, steps, true, target)
 	if !bytes.Equal(native, transformed) {
 		t.Fatal("transform round-trip perturbed results")
 	}

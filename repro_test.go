@@ -13,6 +13,7 @@ import (
 	"gtpin/internal/selection"
 	"gtpin/internal/stats"
 	"gtpin/internal/workloads"
+	"gtpin/internal/xlate"
 )
 
 // TestReproTableI: 25 applications in the paper's four suites.
@@ -111,7 +112,7 @@ func TestReproFig8(t *testing.T) {
 			for _, spec := range f.specs {
 				res := f.results[spec.Name]
 				best := selection.MinError(f.evals[spec.Name])
-				times, err := workloads.TimedReplay(res.Recording, tc.cfg, tc.seed)
+				times, err := workloads.TimedReplay(res.Recording, tc.cfg, tc.seed, xlate.Target{})
 				if err != nil {
 					t.Fatal(err)
 				}
